@@ -108,12 +108,30 @@ def _ranks_to_layout(ranks: int):
     return pth, nper // pth
 
 
+def _announce_kernel_build() -> None:
+    """One line when this run is about to compile the C kernels (the
+    first use on a machine, or after their source changed) — and the
+    build itself, here, so parallel ranks find the cache warm."""
+    from repro.fd import backend as kb
+    from repro.fd.ckernels import build
+
+    if kb.requested() != "c":
+        return
+    status = build.build_status()
+    if status["toolchain_ok"] and not (status["built"] or status["loaded"]
+                                       or status["error"]):
+        print(f"compiling the C kernels with {status['toolchain']} (first "
+              f"use; cached under {status['cache_dir']}) ...")
+        kb.select("c")
+
+
 def _cmd_run_parallel(args) -> None:
     from repro import MHDParameters, RunConfig
     from repro.mhd.diagnostics import yinyang_energies
     from repro.grids.yinyang import YinYangGrid
     from repro.parallel.parallel_solver import run_parallel_dynamo
 
+    _announce_kernel_build()
     params = MHDParameters.laptop_demo()
     config = RunConfig(nr=args.nr, nth=args.nth, nph=args.nph, params=params,
                        amp_temperature=2e-2, filter_strength=0.05)
@@ -161,6 +179,7 @@ def _cmd_kernels(args) -> None:
         mark = "*" if info.name == active else " "
         avail = "available" if info.available else "unavailable"
         print(f" {mark} {info.name:<6} {avail:<12} {info.detail}")
+    print(f"unset {kb.KERNELS_ENV} resolves to: {kb.default_backend()}")
     env = os.environ.get(kb.KERNELS_ENV)
     src = f"{kb.KERNELS_ENV}={env}" if env else "default"
     line = f"active: {active} ({src}"
@@ -246,42 +265,48 @@ def _verify_bitwise_cases():
     """Named configurations and the serial reference each must match.
 
     Each case is ``(name, kernels, ref_kernels, run_kwargs)``:
-    ``kernels`` is the ``REPRO_KERNELS`` value the case runs under,
+    ``kernels`` is the ``REPRO_KERNELS`` value the case runs under
+    (``None`` = unset, whatever the default resolves to),
     ``ref_kernels`` the kernel backend of the serial reference timeline
     it must be bitwise-identical to, and ``run_kwargs`` feeds
     :func:`~repro.parallel.parallel_solver.run_parallel_dynamo` (``None``
-    = a serial run).  Kernel backends are *not* required to match each
-    other — different operation orders round differently — except the
-    compiled C backend, whose contract is bitwise identity with
-    ``fused`` (mirroring ``test_rhs_c_bitwise_matches_fused``).  The
-    ``fused`` case is a second serial fused run: run-to-run stability.
-    ``elastic`` is special-cased in the driver (checkpoint mid-run at
-    4 ranks, restart at 2).
+    = a serial run).  Every row names its kernels explicitly, so the
+    matrix means the same whichever way the default resolves: the
+    compiled C backend's contract is bitwise identity with ``fused``
+    (mirroring ``test_rhs_c_bitwise_matches_fused``), and it is held to
+    it serially, on every launcher, under both exchange schedules and
+    across an elastic restart.  The ``fused`` case is a second serial
+    fused run: run-to-run stability.  ``default`` is what a user who
+    sets nothing gets.  ``elastic`` is special-cased in the driver
+    (checkpoint mid-run at 4 ranks, restart at 2).
     """
     return [
         ("fused", "fused", "fused", None),
         ("c", "c", "fused", None),
-        ("thread", "numpy", "numpy", {"backend": "thread"}),
-        ("thread-overlap", "numpy", "numpy",
+        ("default", None, "fused", None),
+        ("thread", "c", "fused", {"backend": "thread"}),
+        ("thread-overlap", "c", "fused",
          {"backend": "thread", "overlap": True}),
-        ("process", "numpy", "numpy", {"backend": "process"}),
-        ("process-overlap", "numpy", "numpy",
+        ("process", "c", "fused", {"backend": "process"}),
+        ("process-overlap", "c", "fused",
          {"backend": "process", "overlap": True}),
-        ("socket", "numpy", "numpy", {"backend": "socket"}),
-        ("elastic", "numpy", "numpy", {"backend": "process"}),
+        ("socket", "c", "fused", {"backend": "socket"}),
+        ("elastic", "c", "fused", {"backend": "process"}),
     ]
 
 
 def _cmd_verify_bitwise(args) -> None:
     """Bitwise cross-configuration verification harness.
 
-    Runs one serial numpy reference, fingerprinting every step, then
-    replays the same configuration through each requested case (kernel
+    Runs a serial reference per kernel backend (today: ``fused``),
+    fingerprinting every step, then replays the same configuration
+    through each requested case (kernel
     backends, launcher backends, overlapped schedules, an elastic
     restart) and demands digest-for-digest identical state timelines.
     The first mismatch is reported as (step, panel, field).  Exit 1 on
     any divergence; unavailable backends are reported and skipped.
     """
+    import contextlib
     import os
     import tempfile
 
@@ -293,7 +318,7 @@ def _cmd_verify_bitwise(args) -> None:
     from repro.parallel.parallel_solver import run_parallel_dynamo
 
     cases = _verify_bitwise_cases()
-    wanted = ["process", "c"] if args.smoke else (
+    wanted = ["process", "c", "default"] if args.smoke else (
         [c.strip() for c in args.cases.split(",") if c.strip()]
         if args.cases else [name for name, _, _, _ in cases]
     )
@@ -308,33 +333,36 @@ def _cmd_verify_bitwise(args) -> None:
     config = RunConfig(nr=args.nr, nth=args.nth, nph=args.nph, dt=1e-4)
     steps = args.steps
 
-    def serial_timeline(kernels: str | None):
-        saved = os.environ.get("REPRO_KERNELS")
+    @contextlib.contextmanager
+    def kernels_env(kernels: str | None):
+        """Run under ``REPRO_KERNELS=kernels`` (None: unset), the way a
+        user selects a backend; rank processes inherit it."""
+        saved = os.environ.pop("REPRO_KERNELS", None)
+        if kernels is not None:
+            os.environ["REPRO_KERNELS"] = kernels
         try:
-            if kernels is not None:
-                os.environ["REPRO_KERNELS"] = kernels
+            yield
+        finally:
+            os.environ.pop("REPRO_KERNELS", None)
+            if saved is not None:
+                os.environ["REPRO_KERNELS"] = saved
+
+    def serial_timeline(kernels: str | None):
+        with kernels_env(kernels):
             driver = YinYangDynamo(config)
             observer = FingerprintObserver()
             driver.run(steps, observers=(observer,))
             backend = next(iter(driver.equations.values())).kernel_backend
             return observer.fingerprints, backend
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_KERNELS", None)
-            else:
-                os.environ["REPRO_KERNELS"] = saved
 
     def parallel_timeline(kernels, run_kwargs, *, elastic=False):
-        saved = os.environ.get("REPRO_KERNELS")
-        try:
-            if kernels is not None:
-                os.environ["REPRO_KERNELS"] = kernels
+        with kernels_env(kernels):
             if not elastic:
                 result = run_parallel_dynamo(
                     config, 1, 2, steps, fingerprint_every=1,
                     timeout=args.timeout, **run_kwargs,
                 )
-                return result.fingerprints
+                return result.fingerprints, result.kernel_backend
             # elastic: checkpoint at 4 ranks mid-run, restart at 2 ranks
             with tempfile.TemporaryDirectory() as tmp:
                 half = max(1, steps // 2)
@@ -348,12 +376,7 @@ def _cmd_verify_bitwise(args) -> None:
                     config, 1, 1, steps - half, restart=archive,
                     fingerprint_every=1, timeout=args.timeout, **run_kwargs,
                 )
-                return result.fingerprints
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_KERNELS", None)
-            else:
-                os.environ["REPRO_KERNELS"] = saved
+                return result.fingerprints, result.kernel_backend
 
     print(f"grid: nr={args.nr} nth={args.nth} nph={args.nph}, "
           f"{steps} step(s); serial references built per kernel backend")
@@ -379,19 +402,19 @@ def _cmd_verify_bitwise(args) -> None:
             if not info.available:
                 print(f"  {name:<16} SKIP ({info.detail})")
                 continue
-            timeline = parallel_timeline(
+            timeline, got = parallel_timeline(
                 kernels, run_kwargs, elastic=(name == "elastic"),
             )
         else:
             timeline, got = serial_timeline(kernels)
-            if got != kernels:
-                print(f"  {name:<16} SKIP (kernel backend resolved to "
-                      f"{got!r}; build unavailable?)")
-                continue
+        if kernels is not None and got != kernels:
+            print(f"  {name:<16} SKIP (kernel backend resolved to "
+                  f"{got!r}; build unavailable?)")
+            continue
         divergence = first_divergence(reference(ref_kernels), timeline)
         if divergence is None:
-            print(f"  {name:<16} OK   ({len(timeline)} fingerprint(s) "
-                  f"bitwise-identical to serial {ref_kernels})")
+            print(f"  {name:<16} OK   ({len(timeline)} fingerprint(s) on "
+                  f"{got} bitwise-identical to serial {ref_kernels})")
         else:
             print(f"  {name:<16} FAIL (vs serial {ref_kernels}) "
                   f"{divergence.describe()}")
@@ -451,6 +474,7 @@ def _cmd_run(args) -> None:
         _cmd_run_parallel(args)
         return
 
+    _announce_kernel_build()
     params = MHDParameters.laptop_demo()
     dyn = YinYangDynamo(
         RunConfig(nr=args.nr, nth=args.nth, nph=args.nph, params=params,

@@ -18,6 +18,7 @@ from repro.core.config import RunConfig
 from repro.core.guard import HealthReport, assert_healthy
 from repro.core.yycore import HistoryRecord
 from repro.engine import CadenceController, HistoryRecorder, Integrator
+from repro.fd import backend as kernel_backend
 from repro.grids.latlon import LatLonGrid
 from repro.mhd.boundary import WallBC
 from repro.mhd.cfl import estimate_dt
@@ -36,18 +37,28 @@ class LatLonDynamo:
         self.config = config or RunConfig()
         c = self.config
         self.grid = LatLonGrid.build(c.nr, c.nth, c.nph, ri=c.params.ri, ro=c.params.ro)
-        self.equations = PanelEquations(self.grid, c.params, (0.0, 0.0, c.params.omega))
+        # one kernel backend for the driver's life (REPRO_KERNELS read once)
+        backend = kernel_backend.select()
+        #: compiled elementwise kernels for the state algebra, or None
+        self.kernels = kernel_backend.compiled_module(backend)
+        self.equations = PanelEquations(
+            self.grid, c.params, (0.0, 0.0, c.params.omega), backend=backend
+        )
         self.wall_bc = WallBC(c.params, magnetic=c.magnetic_bc)
         self.timers = TimerRegistry()
         self.time = 0.0
         self.step_count = 0
         self._last_dt = float("nan")
         self.history: list[HistoryRecord] = []
-        self._base_rhs: MHDState | None = None
         if c.subtract_base_rhs:
             base = conduction_state(self.grid, c.params)
             self.enforce(base)
-            self._base_rhs = self.equations.rhs(base)
+            self.equations.subtract_base(base)
+        #: recycled storage for a step's four stage derivatives (see
+        #: :class:`~repro.core.yycore.YinYangDynamo`)
+        self._ks = (None, None, None, None)
+        if self.kernels is not None:
+            self._ks = tuple(MHDState.zeros(self.grid.shape) for _ in range(4))
         self.state = self.initial_state()
 
     def initial_state(self) -> MHDState:
@@ -62,12 +73,9 @@ class LatLonDynamo:
 
     # ---- TimeDependentSystem interface ------------------------------------------
 
-    def rhs(self, state: MHDState) -> MHDState:
+    def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
         with self.timers.timing("rhs"):
-            out = self.equations.rhs(state)
-            if self._base_rhs is not None:
-                out.iadd_scaled(-1.0, self._base_rhs)
-            return out
+            return self.equations.rhs(state, out=out)
 
     def enforce(self, state: MHDState) -> None:
         with self.timers.timing("halo"):
@@ -82,10 +90,20 @@ class LatLonDynamo:
     def axpy(state: MHDState, a: float, k: MHDState) -> MHDState:
         return state.axpy(a, k)
 
-    @staticmethod
-    def axpy_into(state: MHDState, a: float, k: MHDState, out: MHDState) -> MHDState:
+    def axpy_into(self, state: MHDState, a: float, k: MHDState,
+                  out: MHDState) -> MHDState:
         """``state + a*k`` written over the dead stage state ``out``."""
-        return state.axpy_into(a, k, out)
+        return state.axpy_into(a, k, out, self.kernels)
+
+    @property
+    def rk4_combine(self):
+        """:func:`rk4_step`'s one-call final combine, with compiled
+        kernels only (see :class:`~repro.core.yycore.YinYangDynamo`)."""
+        return self._rk4_combine if self.kernels is not None else None
+
+    def _rk4_combine(self, state: MHDState, weights, ks, out: MHDState) -> MHDState:
+        """The final RK4 combine over the dead stage state ``out``."""
+        return state.rk4_combine_into(weights, ks, out, self.kernels)
 
     # ---- time stepping ---------------------------------------------------------------
 
@@ -96,7 +114,7 @@ class LatLonDynamo:
     def step(self, dt: float | None = None) -> float:
         if dt is None:
             dt = self.config.dt or self.estimate_dt()
-        self.state = rk4_step(self, self.state, dt)
+        self.state = rk4_step(self, self.state, dt, self._ks)
         self.time += dt
         self.step_count += 1
         self._last_dt = dt

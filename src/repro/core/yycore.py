@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.config import RunConfig
 from repro.core.guard import HealthReport, assert_healthy
 from repro.engine import CadenceController, HistoryRecorder, Integrator
+from repro.fd import backend as kernel_backend
 from repro.grids.component import Panel
 from repro.grids.yinyang import YinYangGrid
 from repro.mhd.boundary import WallBC
@@ -61,10 +62,17 @@ class YinYangDynamo:
             extra_theta=c.extra_theta, extra_phi=c.extra_phi,
         )
         omega = c.params.omega
+        # one kernel backend for the driver's life: REPRO_KERNELS is read
+        # here, never again
+        backend = kernel_backend.select()
+        #: compiled elementwise kernels for the state algebra, or None
+        self.kernels = kernel_backend.compiled_module(backend)
         # global +z axis: Yin-local (0,0,omega); Yang-local (0,omega,0) - eq. (1)
         self.equations: dict[Panel, PanelEquations] = {
-            Panel.YIN: PanelEquations(self.grid.yin, c.params, (0.0, 0.0, omega)),
-            Panel.YANG: PanelEquations(self.grid.yang, c.params, (0.0, omega, 0.0)),
+            Panel.YIN: PanelEquations(self.grid.yin, c.params, (0.0, 0.0, omega),
+                                      backend=backend),
+            Panel.YANG: PanelEquations(self.grid.yang, c.params, (0.0, omega, 0.0),
+                                       backend=backend),
         }
         self.wall_bc = WallBC(c.params, magnetic=c.magnetic_bc)
         self.timers = TimerRegistry()
@@ -72,14 +80,23 @@ class YinYangDynamo:
         self.step_count = 0
         self._last_dt = float("nan")
         self.history: list[HistoryRecord] = []
-        self._base_rhs: PairState | None = None
         if c.subtract_base_rhs:
             base = {
                 p: conduction_state(self.grid.panel(p), c.params)
                 for p in (Panel.YIN, Panel.YANG)
             }
             self.enforce(base)
-            self._base_rhs = {p: self.equations[p].rhs(s) for p, s in base.items()}
+            for p, s in base.items():
+                self.equations[p].subtract_base(s)
+        #: storage for the four stage derivatives of a step, recycled
+        #: every step; it never leaves :func:`rk4_step`.  Only the
+        #: compiled RHS writes into offered storage.
+        self._ks = (None, None, None, None)
+        if self.kernels is not None:
+            self._ks = tuple(
+                {p: MHDState.zeros(self.grid.shape) for p in self.equations}
+                for _ in range(4)
+            )
         self.state: PairState = self.initial_state()
 
     # ---- state construction ----------------------------------------------------
@@ -103,19 +120,20 @@ class YinYangDynamo:
 
     # ---- TimeDependentSystem interface (used by rk4_step) -------------------------
 
-    def rhs(self, pair: PairState) -> PairState:
+    def rhs(self, pair: PairState, out: PairState | None = None) -> PairState:
         """Panel-wise RHS — identical kernels, per the Yin-Yang symmetry.
 
         With ``subtract_base_rhs`` the discrete residual of the reference
-        conduction state is removed, making that state an exact discrete
-        equilibrium (well-balanced scheme).
+        conduction state is removed (inside :class:`PanelEquations`),
+        making that state an exact discrete equilibrium (well-balanced
+        scheme).  The result is the caller's: fresh arrays, or ``out``'s
+        when storage is offered and the kernels write into it.
         """
         with self.timers.timing("rhs"):
-            out = {p: self.equations[p].rhs(s) for p, s in pair.items()}
-            if self._base_rhs is not None:
-                for p, k in out.items():
-                    k.iadd_scaled(-1.0, self._base_rhs[p])
-            return out
+            return {
+                p: self.equations[p].rhs(s, out=None if out is None else out[p])
+                for p, s in pair.items()
+            }
 
     def enforce(self, pair: PairState) -> None:
         """Internal (overset) then wall boundary conditions, in place.
@@ -137,10 +155,11 @@ class YinYangDynamo:
     def axpy(pair: PairState, a: float, k: PairState) -> PairState:
         return {p: s.axpy(a, k[p]) for p, s in pair.items()}
 
-    @staticmethod
-    def axpy_into(pair: PairState, a: float, k: PairState, out: PairState) -> PairState:
+    def axpy_into(self, pair: PairState, a: float, k: PairState,
+                  out: PairState) -> PairState:
         """``pair + a*k`` written over the dead stage pair ``out``."""
-        return {p: s.axpy_into(a, k[p], out[p]) for p, s in pair.items()}
+        return {p: s.axpy_into(a, k[p], out[p], self.kernels)
+                for p, s in pair.items()}
 
     @staticmethod
     def iadd_scaled(pair: PairState, a: float, k: PairState) -> PairState:
@@ -148,6 +167,21 @@ class YinYangDynamo:
         for p, s in pair.items():
             s.iadd_scaled(a, k[p])
         return pair
+
+    @property
+    def rk4_combine(self):
+        """:func:`rk4_step`'s one-call final combine — only with compiled
+        kernels, where it is one pass per panel; without them the
+        stepper's own ``axpy_into`` + three ``iadd_scaled`` are the
+        NumPy form."""
+        return self._rk4_combine if self.kernels is not None else None
+
+    def _rk4_combine(self, pair: PairState, weights, ks, out: PairState) -> PairState:
+        """The final RK4 combine over the dead stage pair ``out``."""
+        return {
+            p: s.rk4_combine_into(weights, [k[p] for k in ks], out[p], self.kernels)
+            for p, s in pair.items()
+        }
 
     # ---- time stepping ---------------------------------------------------------------
 
@@ -164,7 +198,7 @@ class YinYangDynamo:
         """
         if dt is None:
             dt = self.config.dt or self.estimate_dt()
-        self.state = rk4_step(self, self.state, dt)
+        self.state = rk4_step(self, self.state, dt, self._ks)
         self.time += dt
         self.step_count += 1
         self._last_dt = dt

@@ -8,6 +8,11 @@ NumPy path, it just runs slower.  The resolved name is reported in
 ``ParallelRunResult.kernel_backend`` and by ``repro-paper kernels``, so
 a fallback is always visible after the fact without ever being fatal.
 
+Selection happens once, when a driver (or a standalone
+:class:`~repro.mhd.equations.PanelEquations`) is constructed; the
+resolved name and :func:`compiled_module` are passed down from there,
+so changing the environment afterwards changes nothing.
+
 Backends
 --------
 ``numpy``
@@ -15,15 +20,19 @@ Backends
     every operator re-derives its operands.
 ``fused``
     The derivative-cached, buffer-pooled NumPy kernel
-    (``rhs_fused``) — the default, always available.
+    (``rhs_fused``) — always available, the default where ``c`` is not.
 ``c``
     The cffi-compiled kernels of :mod:`repro.fd.ckernels`: compiled
-    primitive stencils plus the six-sweep fused RHS.  Available when
-    the shared object is cached or a toolchain can build it.
+    primitive stencils, the six-sweep fused RHS (base-RHS subtraction
+    included) and the RK4 state algebra — bitwise equal to ``fused``.
+    Available
+    when the shared object is cached or a toolchain can build it, and
+    then the default.
 
 Selection: an explicit argument beats ``REPRO_KERNELS=``, which beats
-the default.  Unknown names warn once and fall back to the default;
-``c`` on a machine that cannot build falls back to ``fused``.
+the default (:func:`default_backend`).  Unknown names warn once and fall
+back to the default; ``c`` on a machine that cannot build falls back to
+``fused``.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ from dataclasses import dataclass
 
 KERNELS_ENV = "REPRO_KERNELS"
 BACKENDS = ("numpy", "fused", "c")
-DEFAULT_BACKEND = "fused"
 
 
 @dataclass(frozen=True)
@@ -55,9 +63,9 @@ def probe(name: str) -> BackendInfo:
     if name == "c":
         from repro.fd.ckernels import build
 
-        status = build.build_status()
-        if status["loaded"]:
+        if build.is_loaded():
             return BackendInfo("c", True, "compiled kernels loaded")
+        status = build.build_status()
         if status["error"]:
             return BackendInfo("c", False, status["error"])
         if status["built"]:
@@ -75,19 +83,27 @@ def detect() -> tuple[BackendInfo, ...]:
     return tuple(probe(name) for name in BACKENDS)
 
 
+def default_backend() -> str:
+    """What an unset ``REPRO_KERNELS`` means on this machine: the
+    fastest backend the probe says can run — ``c`` when the shared
+    object is loaded, cached or buildable, else ``fused``."""
+    return "c" if probe("c").available else "fused"
+
+
 def requested() -> str:
     """The backend asked for via ``REPRO_KERNELS=`` (or the default)."""
     name = os.environ.get(KERNELS_ENV, "").strip().lower()
     if not name:
-        return DEFAULT_BACKEND
+        return default_backend()
     if name not in BACKENDS:
+        default = default_backend()
         warnings.warn(
             f"{KERNELS_ENV}={name!r} is not one of {list(BACKENDS)}; "
-            f"using {DEFAULT_BACKEND!r}",
+            f"using {default!r}",
             RuntimeWarning,
             stacklevel=2,
         )
-        return DEFAULT_BACKEND
+        return default
     return name
 
 
@@ -132,13 +148,15 @@ def stencil_module(name: str):
     return stencils
 
 
-def compiled_elementwise():
-    """The compiled elementwise module when ``c`` is selected, else None.
+def compiled_module(name: str):
+    """The compiled elementwise kernels for a *resolved* backend name:
+    the :mod:`repro.fd.ckernels.stencils` module on ``c``, else None.
 
-    Used by the state-algebra hot paths (``iadd_scaled`` / ``axpy``) so
-    the RK4 accumulation stages ride the compiled backend too.
+    Drivers resolve this once at construction and hand it to the state
+    algebra (``MHDState.axpy_into`` / ``rk4_combine_into``), so the RK4
+    stages ride the same backend as the RHS for the driver's whole life.
     """
-    if select() != "c":
+    if name != "c":
         return None
     from repro.fd.ckernels import stencils as cstencils
 

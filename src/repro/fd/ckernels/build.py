@@ -31,6 +31,7 @@ import shutil
 import sys
 import sysconfig
 import tempfile
+import threading
 from pathlib import Path
 
 from repro.fd.ckernels.csrc import CDEF, CSRC
@@ -46,6 +47,10 @@ _COMPILE_ARGS = COMPILE_ARGS  # legacy alias
 #: Memoized (lib, ffi) pair / failure reason for this process.
 _loaded: tuple | None = None
 _load_error: str | None = None
+#: Rank threads of the thread launcher all construct their solver — and
+#: so first load the kernels — at the same moment; one builds, the rest
+#: wait for the memoized result.
+_load_lock = threading.Lock()
 
 
 class CKernelsUnavailable(RuntimeError):
@@ -94,6 +99,11 @@ def toolchain_available() -> tuple[bool, str]:
     if cc is None:  # pragma: no cover - depends on environment
         return False, "no C compiler (cc/gcc/clang) on PATH and CC unset"
     return True, cc
+
+
+def is_loaded() -> bool:
+    """Whether this process already holds the compiled kernels."""
+    return _loaded is not None
 
 
 def build_status() -> dict:
@@ -150,21 +160,24 @@ def load() -> tuple:
     global _loaded, _load_error
     if _loaded is not None:
         return _loaded
-    if _load_error is not None:
-        raise CKernelsUnavailable(_load_error)
-    try:
-        target = so_path()
-        if not target.exists():
-            ok, detail = toolchain_available()
-            if not ok:
-                raise CKernelsUnavailable(detail)
-            _compile(target)
-        _loaded = _load_shared_object(target)
-    except Exception as exc:
-        _load_error = str(exc) or exc.__class__.__name__
-        if isinstance(exc, CKernelsUnavailable):
-            raise
-        raise CKernelsUnavailable(_load_error) from exc
+    with _load_lock:
+        if _loaded is not None:
+            return _loaded
+        if _load_error is not None:
+            raise CKernelsUnavailable(_load_error)
+        try:
+            target = so_path()
+            if not target.exists():
+                ok, detail = toolchain_available()
+                if not ok:
+                    raise CKernelsUnavailable(detail)
+                _compile(target)
+            _loaded = _load_shared_object(target)
+        except Exception as exc:
+            _load_error = str(exc) or exc.__class__.__name__
+            if isinstance(exc, CKernelsUnavailable):
+                raise
+            raise CKernelsUnavailable(_load_error) from exc
     return _loaded
 
 

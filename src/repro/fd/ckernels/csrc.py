@@ -8,9 +8,10 @@ view of a C-contiguous array (any axis of any rank collapses to that
 form), with the same interior/edge formulas *and the same operation
 order* as :mod:`repro.fd.stencils`, so results are bitwise equal to the
 NumPy path.  ``inner == 1`` is the flat-last-axis fast path: each row is
-one aligned contiguous sweep.  ``ck_iadd_scaled`` / ``ck_axpy`` mirror
-the two-rounding ``multiply(y, a) ; add`` sequence of
-:meth:`repro.mhd.state.MHDState.iadd_scaled` exactly.
+one aligned contiguous sweep.  ``ck_axpy`` mirrors the two-rounding
+``multiply(y, a) ; add`` sequence of
+:meth:`repro.mhd.state.MHDState.axpy_into` exactly, and
+``ck_rk4_combine`` chains four of them in one pass.
 
 **Fused RHS sweeps** — the compiled rendition of
 :meth:`~repro.mhd.equations.PanelEquations.rhs_fused`: six traversals
@@ -21,9 +22,10 @@ through per-axis *stencil descriptors*: three offset/coefficient pairs
 per grid index, interior ``(+s, -s, 0) x (1, -1, 0)`` and the one-sided
 forms at the two edge planes, which keeps every inner loop branch-free.
 Each sweep accumulates terms in the same order as the NumPy fused
-kernel, so the two backends agree to a few ULPs (the compiler is held
-to IEEE semantics with ``-ffp-contract=off``); the tests pin the
-disagreement at 1e-13.
+kernel and the compiler is held to IEEE semantics with
+``-ffp-contract=off``, so the two backends are bitwise equal (the tests
+pin ``assert_array_equal``).  The assembly sweep optionally subtracts a
+base RHS as it stores (``x - b``, bitwise ``x + (-1.0 * b)``).
 """
 
 from __future__ import annotations
@@ -58,8 +60,11 @@ void ck_diff_raw(const double *f, double *out, long outer, long n, long inner);
 void ck_diff2_raw(const double *f, double *out, long outer, long n, long inner);
 void ck_diff(const double *f, double *out, long outer, long n, long inner, double h);
 void ck_diff2(const double *f, double *out, long outer, long n, long inner, double h);
-void ck_iadd_scaled(double *x, const double *y, double a, long n);
 void ck_axpy(const double *x, const double *y, double a, double *out, long n);
+void ck_rk4_combine(const double *y, const double *k1, const double *k2,
+                    const double *k3, const double *k4,
+                    double a1, double a2, double a3, double a4,
+                    double *out, long n);
 
 void ck_pointwise_vt(const ck_panel *c,
                      const double *rho, const double *fr, const double *fth,
@@ -90,6 +95,7 @@ void ck_assemble(const ck_panel *c,
                  const double *s_rt, const double *s_rp, const double *s_tp,
                  const double *gd0, const double *gd1, const double *gd2,
                  const double *cc0, const double *cc1, const double *cc2,
+                 const double *const *brhs,
                  double *drho, double *df0, double *df1, double *df2,
                  double *dp, double *da0, double *da1, double *da2);
 """
@@ -243,17 +249,22 @@ void ck_diff2(const double *f, double *out, long outer, long n, long inner, doub
 }
 
 /* multiply-then-add, two roundings per element — bitwise equal to the
-   NumPy multiply(y, a, out=scratch); x += scratch sequence */
-void ck_iadd_scaled(double *x, const double *y, double a, long n)
-{
-    for (long i = 0; i < n; i++)
-        x[i] = x[i] + a * y[i];
-}
-
+   NumPy multiply(y, a, out=o); o += x sequence */
 void ck_axpy(const double *x, const double *y, double a, double *out, long n)
 {
     for (long i = 0; i < n; i++)
         out[i] = x[i] + a * y[i];
+}
+
+/* the final RK4 combine: one axpy and three iadd_scaled passes chained
+   per element, every product rounded before its add */
+void ck_rk4_combine(const double *y, const double *k1, const double *k2,
+                    const double *k3, const double *k4,
+                    double a1, double a2, double a3, double a4,
+                    double *out, long n)
+{
+    for (long i = 0; i < n; i++)
+        out[i] = (((y[i] + a1 * k1[i]) + a2 * k2[i]) + a3 * k3[i]) + a4 * k4[i];
 }
 
 /* ---- fused RHS sweeps ------------------------------------------------ */
@@ -401,7 +412,9 @@ void ck_gradcurl(const ck_panel *c, const double *divv,
 
 /* the final traversal: continuity, momentum, pressure and induction
    assembled per point, with the f/p/temp stencils evaluated inline —
-   term order matches PanelEquations.rhs_fused statement by statement */
+   term order matches PanelEquations.rhs_fused statement by statement.
+   A non-NULL brhs holds the eight fields of a base RHS, subtracted as
+   each derivative is stored. */
 void ck_assemble(const ck_panel *c,
                  const double *rho, const double *fr, const double *fth,
                  const double *fph, const double *p, const double *temp,
@@ -413,6 +426,7 @@ void ck_assemble(const ck_panel *c,
                  const double *s_rt, const double *s_rp, const double *s_tp,
                  const double *gd0, const double *gd1, const double *gd2,
                  const double *cc0, const double *cc1, const double *cc2,
+                 const double *const *brhs,
                  double *drho, double *df0, double *df1, double *df2,
                  double *dp, double *da0, double *da1, double *da2)
 {
@@ -454,8 +468,8 @@ void ck_assemble(const ck_panel *c,
                 double dpR = DR(p), dpT = DT(p), dpP = DP(p);
 
                 /* eq. (2): continuity */
-                drho[idx] = ((((dfrR * (-sr) - two_invr * fr_) - gth * dftT)
-                              - icot * ft_) - gph * dfpP);
+                double drho_ = ((((dfrR * (-sr) - two_invr * fr_) - gth * dftT)
+                                 - icot * ft_) - gph * dfpP);
 
                 /* advection operands carry the sign, as in the NumPy kernel */
                 double u0 = v0_ * (-sr);
@@ -478,7 +492,6 @@ void ck_assemble(const ck_panel *c,
                 t0 += gd0[idx];
                 t0 -= cc0[idx];
                 t0 += rho_ * grav;
-                df0[idx] = t0;
                 double t1 = naf1;
                 t1 -= dpT * gth;
                 t1 += jp_ * br_;
@@ -487,7 +500,6 @@ void ck_assemble(const ck_panel *c,
                 if (act_p) t1 -= fr_ * c->w2p[jk];
                 t1 += gd1[idx];
                 t1 -= cc1[idx];
-                df1[idx] = t1;
                 double t2 = naf2;
                 t2 -= dpP * gph;
                 t2 += jr_ * bt_;
@@ -496,7 +508,6 @@ void ck_assemble(const ck_panel *c,
                 if (act_r) t2 -= ft_ * c->w2r[jk];
                 t2 += gd2[idx];
                 t2 -= cc2[idx];
-                df2[idx] = t2;
 
                 /* eq. (4): pressure */
                 double lap = DR2(temp) * qr;
@@ -523,12 +534,30 @@ void ck_assemble(const ck_panel *c,
                 dpv += ee * gm1_2mu;
                 dpv -= (p_ * dv_) * gamma_;
                 dpv += nadvp;
-                dp[idx] = dpv;
 
                 /* eq. (5): induction, dA/dt = -E */
-                da0[idx] = (v1_ * bp_ - v2_ * bt_) - jr_ * eta;
-                da1[idx] = (v2_ * br_ - v0_ * bp_) - jt_ * eta;
-                da2[idx] = (v0_ * bt_ - v1_ * br_) - jp_ * eta;
+                double a0_ = (v1_ * bp_ - v2_ * bt_) - jr_ * eta;
+                double a1_ = (v2_ * br_ - v0_ * bp_) - jt_ * eta;
+                double a2_ = (v0_ * bt_ - v1_ * br_) - jp_ * eta;
+
+                if (brhs) {
+                    drho_ -= brhs[0][idx];
+                    t0 -= brhs[1][idx];
+                    t1 -= brhs[2][idx];
+                    t2 -= brhs[3][idx];
+                    dpv -= brhs[4][idx];
+                    a0_ -= brhs[5][idx];
+                    a1_ -= brhs[6][idx];
+                    a2_ -= brhs[7][idx];
+                }
+                drho[idx] = drho_;
+                df0[idx] = t0;
+                df1[idx] = t1;
+                df2[idx] = t2;
+                dp[idx] = dpv;
+                da0[idx] = a0_;
+                da1[idx] = a1_;
+                da2[idx] = a2_;
             }
         }
     }

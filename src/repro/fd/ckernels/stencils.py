@@ -142,34 +142,44 @@ def diff2_raw(f: Float64[...], axis: int,
     return _run("ck_diff2_raw", f, axis, out, None)
 
 
-def iadd_scaled_into(x: Array, y: Array, a: float) -> bool:
-    """Compiled ``x += a * y`` for matching C-contiguous float64 arrays.
-
-    Returns False (caller falls back to NumPy) when the pair does not
-    qualify; bitwise-equal to the multiply-into-scratch-then-add
-    sequence in :meth:`repro.mhd.state.MHDState.iadd_scaled`.
-    """
-    if (
-        x.dtype != np.float64 or y.dtype != np.float64
-        or not x.flags.c_contiguous or not y.flags.c_contiguous
-        or x.shape != y.shape
-    ):
-        return False
-    lib, ffi = _lib()
-    lib.ck_iadd_scaled(_ptr(ffi, x), _ptr(ffi, y), float(a), x.size)
-    return True
+def _flat_f64(shape: tuple[int, ...], *arrays: Array) -> bool:
+    """Whether every array is C-contiguous float64 of ``shape`` — what
+    the elementwise C loops assume."""
+    return all(
+        a.dtype == np.float64 and a.flags.c_contiguous and a.shape == shape
+        for a in arrays
+    )
 
 
 def axpy_into(x: Array, y: Array, a: float, out: Array) -> bool:
-    """Compiled ``out = x + a * y`` (same qualification as above)."""
-    if (
-        x.dtype != np.float64 or y.dtype != np.float64
-        or out.dtype != np.float64
-        or not x.flags.c_contiguous or not y.flags.c_contiguous
-        or not out.flags.c_contiguous
-        or x.shape != y.shape or out.shape != x.shape
-    ):
+    """Compiled ``out = x + a * y`` for matching C-contiguous float64 arrays.
+
+    Returns False (caller falls back to NumPy) when the operands do not
+    qualify; bitwise-equal to the multiply-then-add sequence in
+    :meth:`repro.mhd.state.MHDState.axpy_into`.
+    """
+    if not _flat_f64(x.shape, x, y, out):
         return False
     lib, ffi = _lib()
     lib.ck_axpy(_ptr(ffi, x), _ptr(ffi, y), float(a), _ptr(ffi, out), x.size)
+    return True
+
+
+def rk4_combine_into(y: Array, ks, weights, out: Array) -> bool:
+    """Compiled ``out = (((y + a1*k1) + a2*k2) + a3*k3) + a4*k4``.
+
+    One pass instead of an ``axpy_into`` and three NumPy
+    ``iadd_scaled``, with the same roundings in the same order (every
+    product rounded before its add).  ``out`` must not partially
+    overlap an input; same qualification as above.
+    """
+    if not _flat_f64(y.shape, y, *ks, out):
+        return False
+    lib, ffi = _lib()
+    a1, a2, a3, a4 = weights
+    k1, k2, k3, k4 = ks
+    lib.ck_rk4_combine(
+        _ptr(ffi, y), _ptr(ffi, k1), _ptr(ffi, k2), _ptr(ffi, k3), _ptr(ffi, k4),
+        float(a1), float(a2), float(a3), float(a4), _ptr(ffi, out), y.size,
+    )
     return True

@@ -8,7 +8,7 @@ components (the rotation axis is the global +z axis, which is the Yang
 frame's +y axis — eq. 1).  This mirrors the paper's observation that all
 Yin subroutines serve Yang unchanged.
 
-Two RHS paths are provided.  The default **fused** path mirrors the
+Three RHS paths are provided.  The **fused** path mirrors the
 paper's hand-fused kernel (List 1): a
 :class:`~repro.fd.kernels.DerivativeCache` memoizes every primitive
 stencil sweep (as spacing-free raw numerators), a
@@ -21,7 +21,10 @@ The **reference** path (``fused=False``) re-derives everything per
 operator call, as the seed implementation did.  The two paths evaluate
 the same formulas with harmless floating-point reassociation (folded
 coefficients, shared products), so they agree to a few ULPs — the
-property tests pin agreement at 1e-13.
+property tests pin agreement at 1e-13.  The **compiled** path
+(:meth:`PanelEquations.rhs_c`, the default wherever it can be built)
+runs the fused kernel's statements as six C sweeps and is *bitwise*
+equal to it.
 """
 
 from __future__ import annotations
@@ -89,10 +92,11 @@ class PanelEquations:
         or the reference per-operator path.  Results are bitwise equal.
     backend:
         Kernel backend (``numpy``/``fused``/``c``); ``None`` reads
-        ``REPRO_KERNELS=`` via :func:`repro.fd.backend.select` with
-        silent fallback.  ``fused=False`` forces the ``numpy``
-        (reference) backend for backward compatibility; the resolved
-        name is exposed as :attr:`kernel_backend`.
+        ``REPRO_KERNELS=`` via :func:`repro.fd.backend.select` (unset:
+        ``c`` where it can run, else ``fused``) with silent fallback.
+        ``fused=False`` forces the ``numpy`` (reference) backend for
+        backward compatibility; the resolved name is exposed as
+        :attr:`kernel_backend`.
     """
 
     def __init__(
@@ -110,6 +114,8 @@ class PanelEquations:
         self._init_fused = fused
         #: sub-box evaluators keyed by slice bounds (see :meth:`region`)
         self._regions: dict[tuple, PanelEquations] = {}
+        #: RHS subtracted from every evaluation (see :meth:`subtract_base`)
+        self.base_rhs: MHDState | None = None
         self.kernel_backend = "numpy" if not fused else kernel_backend.select(backend)
         self.fused = fused and self.kernel_backend != "numpy"
         self.ops = SphericalOperators(patch)
@@ -162,7 +168,9 @@ class PanelEquations:
         interior/rim split of ``REPRO_OVERLAP=1`` rests on.
 
         The sub-evaluator is pinned to the parent's *resolved* kernel
-        backend so both halves of a split step run the same kernels.
+        backend so both halves of a split step run the same kernels,
+        and carries the parent's base RHS restricted to the box, so the
+        cells it rewrites are well-balanced like the rest.
         """
         key = (
             r_sl.start, r_sl.stop, th_sl.start, th_sl.stop,
@@ -181,6 +189,11 @@ class PanelEquations:
                 sub, self.params, self.omega_cart,
                 fused=self._init_fused, backend=self.kernel_backend,
             )
+            if self.base_rhs is not None:
+                cached.base_rhs = MHDState(*(
+                    np.ascontiguousarray(a[r_sl, th_sl, ph_sl])
+                    for a in self.base_rhs.arrays()
+                ))
             self._regions[key] = cached
         return cached
 
@@ -211,27 +224,46 @@ class PanelEquations:
 
     # ---- the full right-hand side ------------------------------------------------
 
-    def rhs(self, state: MHDState) -> MHDState:
-        """Time derivatives of all eight prognostic fields (eqs. 2-5).
+    def subtract_base(self, base_state: MHDState) -> None:
+        """Make ``base_state`` an exact discrete equilibrium.
+
+        Its RHS — the truncation-error residual of a state that is an
+        equilibrium of the continuous equations — is evaluated once and
+        subtracted from every later :meth:`rhs` (well-balanced scheme).
+        """
+        self.base_rhs = None
+        self._regions.clear()
+        self.base_rhs = self.rhs(base_state)
+
+    def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
+        """Time derivatives of all eight prognostic fields (eqs. 2-5),
+        minus the base RHS when one is set.
 
         Values on boundary/halo points are computed with one-sided
         stencils and are meaningless; the drivers overwrite them with
         boundary-condition data after every stage.
+
+        ``out`` offers storage for the result; it must not share memory
+        with ``state``.  The compiled backend writes into it, the NumPy
+        paths ignore it and return fresh arrays — use the returned
+        state either way.
         """
         if self.kernel_backend == "c":
-            return self.rhs_c(state)
-        if self.fused:
-            return self.rhs_fused(state)
-        return self.rhs_reference(state)
+            return self.rhs_c(state, out)
+        k = self.rhs_fused(state) if self.fused else self.rhs_reference(state)
+        if self.base_rhs is not None:
+            k.iadd_scaled(-1.0, self.base_rhs)
+        return k
 
-    def rhs_c(self, state: MHDState) -> MHDState:
+    def rhs_c(self, state: MHDState, out: MHDState | None = None) -> MHDState:
         """The compiled six-sweep kernel (:mod:`repro.fd.ckernels.rhs`).
 
-        Agrees with :meth:`rhs_fused` to a few ULPs (same operation
-        order, coefficients folded by the same expressions; the tests
-        pin 1e-13).  A context-build failure demotes the panel to the
-        fused NumPy path permanently — silent fallback, reported via
-        :attr:`kernel_backend`.
+        Bitwise equal to :meth:`rhs_fused` followed by the base
+        subtraction (same operation order, coefficients folded by the
+        same expressions, no FMA contraction; ``x - b`` is bitwise
+        ``x + (-1.0 * b)``).  A context-build failure demotes the panel
+        to the fused NumPy path permanently — silent fallback, reported
+        via :attr:`kernel_backend`.
         """
         if self._cctx is None:
             from repro.fd.ckernels.rhs import CPanelContext
@@ -240,8 +272,8 @@ class PanelEquations:
                 self._cctx = CPanelContext(self)
             except Exception:
                 self.kernel_backend = "fused"
-                return self.rhs_fused(state)
-        return self._cctx.rhs(state)
+                return self.rhs(state)
+        return self._cctx.rhs(state, out, self.base_rhs)
 
     def rhs_reference(self, state: MHDState) -> MHDState:
         """The uncached path: every operator re-derives its operands."""

@@ -23,7 +23,8 @@ S = TypeVar("S")
 __all__ = ["TimeDependentSystem", "rk4_step", "rk4_scalar"]
 
 
-def rk4_step(system: TimeDependentSystem, y: S, dt: float) -> S:
+def rk4_step(system: TimeDependentSystem, y: S, dt: float,
+             ks=(None, None, None, None)) -> S:
     """One classical RK4 step.
 
     Boundary conditions are re-imposed on every stage state before its
@@ -35,35 +36,54 @@ def rk4_step(system: TimeDependentSystem, y: S, dt: float) -> S:
     becomes the next stage's output buffer, so a step allocates one
     stage state instead of four.
 
-    Systems exposing ``enforce_rhs(state) -> state`` get every
+    ``ks`` is optional storage for the four stage derivatives, owned by
+    the caller and dead outside this call: stage ``i`` evaluates
+    ``system.rhs(state, out=ks[i])``, which may write the derivative
+    there instead of allocating (it may also ignore ``out``; only the
+    returned state is used).  A driver that passes the same four states
+    every step recycles all derivative memory; the returned state never
+    aliases them.
+
+    Systems exposing ``enforce_rhs(state, out=None) -> state`` get every
     enforce-then-derivative pair routed through it, so a parallel
     system may interleave its boundary communication with the
     derivative evaluation (the split-phase ``REPRO_OVERLAP=1``
     schedule).  The contract is that ``enforce_rhs(y)`` leaves ``y``
     exactly as ``enforce(y)`` would and returns exactly what a
     subsequent ``rhs(y)`` would — bitwise.
+
+    Systems whose ``rk4_combine`` is not None get the final combine
+    ``y + dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4`` as one call,
+    ``rk4_combine(y, weights, ks, out)``, which must round exactly like
+    the ``axpy_into`` + three ``iadd_scaled`` passes it replaces.
     """
     fused_stage = getattr(system, "enforce_rhs", None)
     if fused_stage is None:
-        def fused_stage(state):
+        def fused_stage(state, out=None):
             system.enforce(state)
-            return system.rhs(state)
+            # plain systems (heat, shallow water, test scalars) take no out
+            return system.rhs(state) if out is None else system.rhs(state, out=out)
 
-    k1 = fused_stage(y)
+    k1 = fused_stage(y, ks[0])
 
     y2 = system.axpy(y, dt / 2.0, k1)
-    k2 = fused_stage(y2)
+    k2 = fused_stage(y2, ks[1])
 
     y3 = _stage(system, y, dt / 2.0, k2, y2)
-    k3 = fused_stage(y3)
+    k3 = fused_stage(y3, ks[2])
 
     y4 = _stage(system, y, dt, k3, y3)
-    k4 = fused_stage(y4)
+    k4 = fused_stage(y4, ks[3])
 
-    out = _stage(system, y, dt / 6.0, k1, y4)
-    out = _accumulate(system, out, dt / 3.0, k2)
-    out = _accumulate(system, out, dt / 3.0, k3)
-    out = _accumulate(system, out, dt / 6.0, k4)
+    combine = getattr(system, "rk4_combine", None)
+    if combine is not None:
+        out = combine(y, (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0),
+                      (k1, k2, k3, k4), y4)
+    else:
+        out = _stage(system, y, dt / 6.0, k1, y4)
+        out = _accumulate(system, out, dt / 3.0, k2)
+        out = _accumulate(system, out, dt / 3.0, k3)
+        out = _accumulate(system, out, dt / 6.0, k4)
     system.enforce(out)
     return out
 

@@ -28,17 +28,6 @@ FIELD_NAMES = ("rho", "fr", "fth", "fph", "p", "ar", "ath", "aph")
 _STRICT = contracts_enabled()
 
 
-def _compiled_elementwise():
-    """Compiled ``axpy``/``iadd`` module when ``REPRO_KERNELS=c``, else None.
-
-    Imported lazily: ``repro.fd`` transitively imports this module, so a
-    top-level import would be circular.
-    """
-    from repro.fd import backend as kernel_backend
-
-    return kernel_backend.compiled_elementwise()
-
-
 @dataclass
 class MHDState:
     """Eight prognostic arrays on a single patch, all the same shape.
@@ -122,17 +111,23 @@ class MHDState:
             *(x + a * y for x, y in zip(self.arrays(), other.arrays()))
         )
 
+    # ``kernels`` below is the compiled elementwise module a driver
+    # resolved at construction (:func:`repro.fd.backend.compiled_module`)
+    # or None for the NumPy expressions; a field the compiled loop
+    # refuses (non-contiguous, not float64) takes the NumPy path alone.
+    # Both are bitwise equal.
+
     @hot_path
-    def axpy_into(self, a: float, other: MHDState, out: MHDState) -> MHDState:
+    def axpy_into(self, a: float, other: MHDState, out: MHDState,
+                  kernels=None) -> MHDState:
         """``self + a * other`` written into ``out``'s arrays; returns ``out``.
 
         Lets the RK4 stepper recycle dead stage states instead of
         allocating eight fresh fields per stage.  ``out`` may not alias
         ``self`` or ``other``.
         """
-        ck = _compiled_elementwise()
         for x, y, o in zip(self.arrays(), other.arrays(), out.arrays()):
-            if ck is not None and ck.axpy_into(x, y, a, o):
+            if kernels is not None and kernels.axpy_into(x, y, a, o):
                 continue
             np.multiply(y, a, out=o)
             o += x
@@ -144,19 +139,43 @@ class MHDState:
 
         One scratch buffer is hoisted out of the field loop and reused
         for all eight products (``a * y`` in the loop body would
-        allocate a full-size temporary per field per call; the RK4
-        accumulate stage calls this three times per step).
+        allocate a full-size temporary per field per call).  NumPy
+        only: a driver with compiled kernels accumulates through
+        :meth:`rk4_combine_into` instead.
         """
-        ck = _compiled_elementwise()
-        scratch = None
+        scratch = np.empty_like(self.rho)  # repro: noqa-REP001 — hoisted, reused 8x
         for x, y in zip(self.arrays(), other.arrays()):
-            if ck is not None and ck.iadd_scaled_into(x, y, a):
-                continue
-            if scratch is None:
-                scratch = np.empty_like(self.rho)  # repro: noqa-REP001 — hoisted, reused 8x
             np.multiply(y, a, out=scratch)
             x += scratch
         return self
+
+    @hot_path
+    def rk4_combine_into(self, weights, ks, out: MHDState,
+                         kernels=None) -> MHDState:
+        """The final RK4 combine ``self + a1*k1 + a2*k2 + a3*k3 + a4*k4``
+        written into ``out``; returns ``out``.
+
+        Left-associated with every product rounded before its add —
+        exactly an :meth:`axpy_into` followed by three
+        :meth:`iadd_scaled`, which is what a field the compiled loop
+        refuses gets.  ``out`` may not alias ``self`` or any ``k``.
+        """
+        scratch = None
+        for x, k1, k2, k3, k4, o in zip(
+            self.arrays(), *(k.arrays() for k in ks), out.arrays()
+        ):
+            if kernels is not None and kernels.rk4_combine_into(
+                x, (k1, k2, k3, k4), weights, o
+            ):
+                continue
+            np.multiply(k1, weights[0], out=o)
+            o += x
+            if scratch is None:
+                scratch = np.empty_like(o)  # repro: noqa-REP001 — hoisted, reused
+            for a, k in zip(weights[1:], (k2, k3, k4)):
+                np.multiply(k, a, out=scratch)
+                o += scratch
+        return out
 
     def scale(self, a: float) -> MHDState:
         """In-place ``self *= a``; returns self."""

@@ -31,6 +31,7 @@ from repro.core.config import RunConfig
 from repro.core.guard import HealthReport, assert_healthy
 from repro.engine import CadenceController, IntegrationResult, Integrator
 from repro.engine.observers import StepObserver, TimerObserver
+from repro.fd import backend as kernel_backend
 from repro.grids.base import SphericalPatch
 from repro.grids.component import Panel
 from repro.grids.yinyang import YinYangGrid
@@ -103,7 +104,12 @@ class ParallelYinYangDynamo:
         )
         omega = c.params.omega
         omega_cart = (0.0, 0.0, omega) if self.panel is Panel.YIN else (0.0, omega, 0.0)
-        self.equations = PanelEquations(self.local_patch, c.params, omega_cart)
+        # one kernel backend for the rank's life (REPRO_KERNELS read once)
+        backend = kernel_backend.select()
+        #: compiled elementwise kernels for the state algebra, or None
+        self.kernels = kernel_backend.compiled_module(backend)
+        self.equations = PanelEquations(self.local_patch, c.params, omega_cart,
+                                        backend=backend)
         self.wall_bc = WallBC(c.params, magnetic=c.magnetic_bc)
         self.halo = HaloExchanger(self.cart, self.sub, packed=packed)
         self.overset = OversetExchanger(
@@ -118,19 +124,25 @@ class ParallelYinYangDynamo:
         #: blocking schedule books enforce under ``comm`` and the whole
         #: RHS under ``rim`` so the accounting is comparable
         self.phase_seconds = {"comm": 0.0, "interior": 0.0, "rim": 0.0}
-        self._field_cache: dict[int, tuple[Array, tuple[Array, ...]]] = {}
         self._interior, self._rims, self._early_wall, self._late_wall = (
             self._split_boxes() if self.overlap else (None, None, None, None)
         )
-        #: reused scratch for the overlapped rim passes (REP001
-        #: hot-path rule): per-region contiguous input buffers, keyed
-        #: on the extended box, instead of a fresh allocation per stage
-        self._sub_pool: dict[tuple, tuple[Array, ...]] = {}
+        #: reused scratch for the overlapped rim passes: per-region
+        #: contiguous (input, derivative) states, keyed on the extended
+        #: box, instead of fresh allocations per stage
+        self._sub_pool: dict[tuple, tuple[MHDState, MHDState]] = {}
 
-        self._base_rhs: MHDState | None = None
         if c.subtract_base_rhs:
-            base = self._restrict_state(self._serial_enforced_conduction())
-            self._base_rhs = self.equations.rhs(base)
+            self.equations.subtract_base(
+                self._restrict_state(self._serial_enforced_conduction())
+            )
+        #: recycled storage for a step's four stage derivatives (see
+        #: :class:`~repro.core.yycore.YinYangDynamo`)
+        self._ks = (None, None, None, None)
+        if self.kernels is not None:
+            self._ks = tuple(
+                MHDState.zeros(self.local_patch.shape) for _ in range(4)
+            )
         self.state = self._initial_state()
 
     # ---- state setup -----------------------------------------------------------
@@ -271,11 +283,15 @@ class ParallelYinYangDynamo:
         bufs = self._sub_pool.get(key)
         if bufs is None:
             sub_shape = tuple(e.stop - e.start for e in ext)
-            bufs = tuple(np.empty(sub_shape) for _ in FIELD_NAMES)
+            bufs = (MHDState.zeros(sub_shape), MHDState.zeros(sub_shape))
             self._sub_pool[key] = bufs
-        for buf, arr in zip(bufs, state.arrays()):
+        sub_state, sub_k = bufs
+        for buf, arr in zip(sub_state.arrays(), state.arrays()):
             np.copyto(buf, arr[ext[0], ext[1], ext[2]])
-        k = eq.rhs(MHDState(*bufs))
+        # the sub-box evaluator carries the base RHS restricted to its
+        # box, so the rewritten cells come out base-subtracted like the
+        # whole-patch pass left the others
+        k = eq.rhs(sub_state, out=sub_k)
         inner = tuple(
             slice(sl.start - e.start, sl.stop - e.start)
             for sl, e in zip(kept, ext)
@@ -285,26 +301,10 @@ class ParallelYinYangDynamo:
 
     # ---- TimeDependentSystem interface -------------------------------------------
 
-    def rhs(self, state: MHDState) -> MHDState:
-        out = self.equations.rhs(state)
-        if self._base_rhs is not None:
-            out.iadd_scaled(-1.0, self._base_rhs)
-        return out
-
-    def _fields(self, state: MHDState) -> tuple[Array, ...]:
-        """The state's arrays as a reused tuple (REP001 hot-path rule).
-
-        RK4 cycles a handful of state objects per step (the live state
-        plus recycled stage storage), so the per-stage
-        ``list(state.arrays())`` rebuild is hoisted into a small cache
-        keyed on the identity of the leading array — array objects are
-        only ever updated in place, never swapped between states."""
-        key = id(state.rho)
-        got = self._field_cache.get(key)
-        if got is None or got[0] is not state.rho:
-            got = (state.rho, tuple(state.arrays()))
-            self._field_cache[key] = got
-        return got[1]
+    def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
+        """The tile's derivative (base RHS subtracted by the equations);
+        the caller's own — fresh, or written into offered ``out``."""
+        return self.equations.rhs(state, out=out)
 
     def enforce(self, state: MHDState) -> None:
         """Overset exchange, halo exchange, wall conditions — in that
@@ -318,11 +318,12 @@ class ParallelYinYangDynamo:
             self.overset.exchange_scalar(state.p, tag0=8)
             self.overset.exchange_vector(state.f, tag0=16)
             self.overset.exchange_vector(state.a, tag0=24)
-        self.halo.exchange(self._fields(state))
+        self.halo.exchange(tuple(state.arrays()))
         self.wall_bc.apply(state)
 
-    def enforce_rhs(self, state: MHDState) -> MHDState:
-        """One enforce-then-derivative stage (:func:`rk4_step` hook).
+    def enforce_rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
+        """One enforce-then-derivative stage (:func:`rk4_step` hook);
+        ``out`` is offered derivative storage, as in :meth:`rhs`.
 
         Blocking (default): exactly ``enforce`` then ``rhs``, with the
         enforce booked as ``comm`` time and the RHS as ``rim`` time.
@@ -340,14 +341,14 @@ class ParallelYinYangDynamo:
             t0 = pc()
             self.enforce(state)
             t1 = pc()
-            out = self.rhs(state)
+            k = self.rhs(state, out)
             phases["comm"] += t1 - t0
             phases["rim"] += pc() - t1
-            return out
+            return k
 
         t0 = pc()
         oh = self.overset.exchange_state_begin(state, tag0=0)
-        hh = self.halo.exchange_begin(self._fields(state))
+        hh = self.halo.exchange_begin(tuple(state.arrays()))
         if self._early_wall is not None:
             # wall the columns the interior pass reads, now that the
             # overset donors have packed their pre-wall values — their
@@ -355,7 +356,7 @@ class ParallelYinYangDynamo:
             # blocking schedule's post-exchange wall values already
             self.wall_bc.apply_columns(state, *self._early_wall)
         t1 = pc()
-        out: MHDState | None = None
+        k: MHDState | None = None
         if self._interior is not None:
             # evaluate the WHOLE patch while messages fly: interior
             # cells read no exchange-written cell (walls on their
@@ -364,7 +365,7 @@ class ParallelYinYangDynamo:
             # ``finish``.  This costs exactly the blocking RHS — all
             # of it hideable — and needs no sub-box copy for the big
             # region.
-            out = self.equations.rhs(state)
+            k = self.equations.rhs(state, out=out)
         t2 = pc()
         self.overset.exchange_state_finish(oh)
         self.halo.exchange_finish(hh)
@@ -374,26 +375,34 @@ class ParallelYinYangDynamo:
             for th, ph in self._late_wall:
                 self.wall_bc.apply_columns(state, th, ph)
         t3 = pc()
-        if out is None:
-            out = self.equations.rhs(state)
+        if k is None:
+            k = self.equations.rhs(state, out=out)
         else:
             for box in self._rims:
-                self._eval_region(state, box, out)
-        if self._base_rhs is not None:
-            out.iadd_scaled(-1.0, self._base_rhs)
+                self._eval_region(state, box, k)
         phases["comm"] += (t1 - t0) + (t3 - t2)
         phases["interior"] += t2 - t1
         phases["rim"] += pc() - t3
-        return out
+        return k
 
     @staticmethod
     def axpy(state: MHDState, a: float, k: MHDState) -> MHDState:
         return state.axpy(a, k)
 
-    @staticmethod
-    def axpy_into(state: MHDState, a: float, k: MHDState, out: MHDState) -> MHDState:
+    def axpy_into(self, state: MHDState, a: float, k: MHDState,
+                  out: MHDState) -> MHDState:
         """``state + a*k`` written over the dead stage state ``out``."""
-        return state.axpy_into(a, k, out)
+        return state.axpy_into(a, k, out, self.kernels)
+
+    @property
+    def rk4_combine(self):
+        """:func:`rk4_step`'s one-call final combine, with compiled
+        kernels only (see :class:`~repro.core.yycore.YinYangDynamo`)."""
+        return self._rk4_combine if self.kernels is not None else None
+
+    def _rk4_combine(self, state: MHDState, weights, ks, out: MHDState) -> MHDState:
+        """The final RK4 combine over the dead stage state ``out``."""
+        return state.rk4_combine_into(weights, ks, out, self.kernels)
 
     # ---- stepping ----------------------------------------------------------------
 
@@ -432,7 +441,7 @@ class ParallelYinYangDynamo:
     def step(self, dt: float | None = None) -> float:
         if dt is None:
             dt = self.config.dt or self.estimate_dt()
-        self.state = rk4_step(self, self.state, dt)
+        self.state = rk4_step(self, self.state, dt, self._ks)
         self.time += dt
         self.step_count += 1
         self._last_dt = dt

@@ -21,6 +21,11 @@ from repro.mhd.parameters import MHDParameters
 from repro.mhd.state import MHDState
 from repro.perf.flopcount_array import count_flops, wrap
 
+#: The counting arrays see NumPy ufuncs only, so the measurement pins the
+#: fused NumPy kernel whatever ``REPRO_KERNELS`` resolves to (the
+#: compiled kernel executes the same arithmetic, statement for statement).
+_COUNTED_BACKEND = "fused"
+
 #: Fallback work-per-point for one full RK4 step (4 RHS evaluations plus
 #: the state combinations), used when callers do not re-measure.  The
 #: value is the measurement on this implementation (see tests); the
@@ -55,7 +60,8 @@ def measure_rhs_flops_per_point(
     """Measure flops/gridpoint of one RHS evaluation on a real kernel run."""
     params = params or MHDParameters.laptop_demo()
     grid = ComponentGrid.build(nr, nth, nph, panel=Panel.YIN)
-    eqs = PanelEquations(grid, params, (0.0, 0.0, params.omega))
+    eqs = PanelEquations(grid, params, (0.0, 0.0, params.omega),
+                         backend=_COUNTED_BACKEND)
     state = _wrapped_state(grid, params)
     with count_flops() as fc:
         eqs.rhs(state)
@@ -77,7 +83,8 @@ def measure_step_flops_per_point(
     """
     params = params or MHDParameters.laptop_demo()
     grid = ComponentGrid.build(nr, nth, nph, panel=Panel.YIN)
-    eqs = PanelEquations(grid, params, (0.0, 0.0, params.omega))
+    eqs = PanelEquations(grid, params, (0.0, 0.0, params.omega),
+                         backend=_COUNTED_BACKEND)
     state = _wrapped_state(grid, params)
     rhs_est = None
     dt = 1e-6

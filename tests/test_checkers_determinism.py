@@ -623,3 +623,23 @@ class TestCli:
                      "--steps", "2"]) == 0
         out = capsys.readouterr().out
         assert "thread" in out and "OK" in out
+
+    def test_verify_bitwise_names_every_kernel_row(self, capsys, monkeypatch):
+        """fused, c and the unset default are separate, explicit rows,
+        whatever the ambient REPRO_KERNELS says."""
+        from repro.cli import _verify_bitwise_cases, main
+
+        rows = {name: (kernels, ref) for name, kernels, ref, _ in
+                _verify_bitwise_cases()}
+        assert rows["fused"] == ("fused", "fused")
+        assert rows["c"] == ("c", "fused")
+        assert rows["default"] == (None, "fused")
+        assert all(kernels == "c" and ref == "fused"
+                   for name, (kernels, ref) in rows.items()
+                   if name not in ("fused", "c", "default"))
+        monkeypatch.setenv("REPRO_KERNELS", "numpy")  # must not leak into the rows
+        assert main(["verify-bitwise", "--cases", "fused,default",
+                     "--steps", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "fused            OK" in out and "default          OK" in out
+        assert "on numpy" not in out

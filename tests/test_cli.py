@@ -72,6 +72,42 @@ class TestCommands:
         assert "active: thread (default)" in out
         assert "cross-host" in out  # the capabilities column
 
+    def test_kernels_reports_what_unset_resolves_to(self, capsys, monkeypatch):
+        from repro.fd import backend as kernel_backend
+
+        monkeypatch.delenv(kernel_backend.KERNELS_ENV, raising=False)
+        default = kernel_backend.default_backend()
+        assert main(["kernels"]) == 0
+        out = capsys.readouterr().out
+        assert f"unset REPRO_KERNELS resolves to: {default}" in out
+        assert f"active: {default} (default)" in out
+        monkeypatch.setenv(kernel_backend.KERNELS_ENV, "fused")
+        assert main(["kernels"]) == 0
+        out = capsys.readouterr().out
+        assert f"unset REPRO_KERNELS resolves to: {default}" in out
+        assert "active: fused (REPRO_KERNELS=fused)" in out
+
+    def test_run_announces_a_first_use_kernel_build(self, capsys, monkeypatch):
+        """One line before the run compiles the kernels; none once the
+        shared object is cached (or when it cannot be built at all)."""
+        from repro import cli
+        from repro.fd import backend as kernel_backend
+        from repro.fd.ckernels import build
+
+        monkeypatch.delenv(kernel_backend.KERNELS_ENV, raising=False)
+        status = dict(build.build_status(), toolchain_ok=True, toolchain="cc",
+                      built=False, loaded=False, error=None)
+        monkeypatch.setattr(build, "build_status", lambda: status)
+        monkeypatch.setattr(kernel_backend, "select", lambda name=None: "c")
+        cli._announce_kernel_build()
+        assert "compiling the C kernels with cc (first use" in capsys.readouterr().out
+        status["built"] = True
+        cli._announce_kernel_build()
+        assert capsys.readouterr().out == ""
+        status.update(built=False, toolchain_ok=False)
+        cli._announce_kernel_build()
+        assert capsys.readouterr().out == ""
+
     def test_worker_requires_connect(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["worker"])

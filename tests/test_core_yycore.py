@@ -133,3 +133,54 @@ class TestBoundaryEnforcement:
         spread = np.ptp(temps[Panel.YANG]) + 1e-30
         inner = temps[Panel.YANG][:, 1:-1, 1:-1]
         assert np.abs(ring.mean() - inner.mean()) < 0.5 * spread
+
+
+class TestDerivativeStorageNeverEscapes:
+    """The driver recycles the four stage derivatives of a step; nothing
+    a caller can hold — a state it captured, a derivative it asked for —
+    may be written by later steps."""
+
+    def test_captured_state_and_rhs_survive_further_steps(self, params):
+        dyn = make(params, amp_temperature=1e-2)
+        dyn.step()
+        captured = dyn.state
+        derivative = dyn.rhs(dyn.state)
+        again = dyn.rhs(dyn.state)
+        for p in captured:
+            # a caller's derivative is its own: fresh every call
+            assert not any(
+                np.shares_memory(a, b)
+                for a, b in zip(derivative[p].arrays(), again[p].arrays())
+            )
+        state_copy = {p: s.copy() for p, s in captured.items()}
+        deriv_copy = {p: s.copy() for p, s in derivative.items()}
+        for _ in range(3):
+            dyn.step()
+        assert dyn.state is not captured
+        for p in captured:
+            for held, snapshot in ((captured, state_copy), (derivative, deriv_copy)):
+                for a, b in zip(held[p].arrays(), snapshot[p].arrays()):
+                    np.testing.assert_array_equal(a, b)
+            # and the live state shares nothing with what the caller holds
+            for live in dyn.state[p].arrays():
+                assert not any(np.shares_memory(live, a)
+                               for a in captured[p].arrays())
+                assert not any(np.shares_memory(live, a)
+                               for a in derivative[p].arrays())
+
+    def test_recycled_storage_is_bitwise_invisible(self, params):
+        """Two drivers, one stepped 4x and one rebuilt from its state
+        mid-way (fresh derivative storage): identical fields."""
+        a = make(params, amp_temperature=1e-2)
+        b = make(params, amp_temperature=1e-2)
+        for _ in range(2):
+            a.step()
+            b.step()
+        c = make(params, amp_temperature=1e-2)
+        c.state = {p: s.copy() for p, s in b.state.items()}
+        for _ in range(2):
+            a.step()
+            c.step()
+        for p in a.state:
+            for x, y in zip(a.state[p].arrays(), c.state[p].arrays()):
+                np.testing.assert_array_equal(x, y)

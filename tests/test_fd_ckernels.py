@@ -130,14 +130,11 @@ def test_elementwise_iadd_axpy_bitwise():
     y = rng.standard_normal((4, 5, 6))
     a = 0.37
     ck = _ck()
-    x_c = x.copy()
-    assert ck.iadd_scaled_into(x_c, y, a)
-    np.testing.assert_array_equal(x_c, x + a * y)
     out = np.empty_like(x)
     assert ck.axpy_into(x, y, a, out)
     np.testing.assert_array_equal(out, x + a * y)
     # Non-contiguous operands are refused (caller falls back to NumPy).
-    assert not ck.iadd_scaled_into(x_c.T, y.T, a)
+    assert not ck.axpy_into(x.T, y.T, a, out.T)
 
 
 @pytest.fixture
@@ -167,7 +164,7 @@ def test_rhs_c_bitwise_matches_fused(yin_case, monkeypatch):
     from repro.mhd.state import FIELD_NAMES
 
     patch, params, omega, state = yin_case
-    fused = PanelEquations(patch, params, omega, fused=True)
+    fused = PanelEquations(patch, params, omega, backend="fused")
     monkeypatch.setenv(kernel_backend.KERNELS_ENV, "c")
     ceq = PanelEquations(patch, params, omega, fused=True)
     assert ceq.kernel_backend == "c"
@@ -178,11 +175,50 @@ def test_rhs_c_bitwise_matches_fused(yin_case, monkeypatch):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+def test_rhs_c_out_and_base_bitwise_match_fused(yin_case):
+    """The compiled assemble writes into offered storage and subtracts
+    the base RHS in the same sweep — bitwise what the fused path gets
+    from a fresh evaluation followed by ``iadd_scaled(-1.0, base)``."""
+    from repro.mhd.equations import PanelEquations
+    from repro.mhd.initial import conduction_state
+    from repro.mhd.state import FIELD_NAMES, MHDState
+
+    patch, params, omega, state = yin_case
+    fused = PanelEquations(patch, params, omega, backend="fused")
+    ceq = PanelEquations(patch, params, omega, backend="c")
+    base = conduction_state(patch, params)
+    fused.subtract_base(base)
+    ceq.subtract_base(base)
+    for name in FIELD_NAMES:
+        np.testing.assert_array_equal(
+            getattr(ceq.base_rhs, name), getattr(fused.base_rhs, name))
+
+    want = fused.rhs(state)
+    before = state.copy()
+    store = MHDState.zeros(patch.shape)
+    got = ceq.rhs(state, out=store)
+    assert got is store and ceq.kernel_backend == "c"
+    fresh = ceq.rhs(state)
+    assert fresh is not store
+    for name in FIELD_NAMES:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(getattr(fresh, name), getattr(want, name))
+        np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
+    # the NumPy paths may ignore offered storage; the result is the same
+    assert fused.rhs(state, out=store) is not store
+    # storage the C sweep cannot write into is declined, not corrupted
+    strided = MHDState(*(np.zeros(patch.shape[::-1]).T for _ in FIELD_NAMES))
+    declined = ceq.rhs(state, out=strided)
+    assert declined is not strided
+    assert not any(np.any(a) for a in strided.arrays())
+    np.testing.assert_array_equal(declined.p, want.p)
+
+
 def test_rhs_c_stencil_counts_match_fused(yin_case, monkeypatch):
     from repro.mhd.equations import PanelEquations
 
     patch, params, omega, state = yin_case
-    fused = PanelEquations(patch, params, omega, fused=True)
+    fused = PanelEquations(patch, params, omega, backend="fused")
     np_stencils.reset_stencil_counts()
     fused.rhs(state)
     fused_counts = np_stencils.stencil_counts()
@@ -198,16 +234,15 @@ def test_rhs_c_stencil_counts_match_fused(yin_case, monkeypatch):
 
 
 def test_serial_dynamo_c_matches_numpy(monkeypatch):
-    """10 steps of the serial dynamo: C backend vs NumPy to <= 1e-13 rel."""
+    """10 steps of the serial dynamo, whole stage compiled (RHS with the
+    base subtraction, state algebra, RK4 combine) vs the fused NumPy
+    driver: bitwise."""
     from repro.core.config import RunConfig
     from repro.core.yycore import YinYangDynamo
     from repro.mhd.state import FIELD_NAMES
 
     def run(backend_env):
-        if backend_env is None:
-            monkeypatch.delenv(kernel_backend.KERNELS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(kernel_backend.KERNELS_ENV, backend_env)
+        monkeypatch.setenv(kernel_backend.KERNELS_ENV, backend_env)
         cfg = RunConfig(nr=7, nth=10, nph=30, dt=1e-3,
                         amp_temperature=1e-2, seed=123)
         dyn = YinYangDynamo(cfg)
@@ -215,14 +250,71 @@ def test_serial_dynamo_c_matches_numpy(monkeypatch):
             dyn.step()
         return dyn
 
-    ref = run(None)
+    ref = run("fused")
     cdyn = run("c")
     for panel, eq in cdyn.equations.items():
         assert eq.kernel_backend == "c", panel
+        assert ref.equations[panel].kernel_backend == "fused"
+    assert ref.kernels is None and cdyn.kernels is not None
     for panel, state in cdyn.state.items():
         ref_state = ref.state[panel]
         for name in FIELD_NAMES:
-            a = getattr(state, name)
-            b = getattr(ref_state, name)
-            scale = max(float(np.max(np.abs(b))), 1.0)
-            assert np.max(np.abs(a - b)) <= 1e-13 * scale, (panel, name)
+            np.testing.assert_array_equal(
+                getattr(state, name), getattr(ref_state, name), err_msg=f"{panel} {name}")
+
+
+# ---- the rest of the RK4 stage: the final combine ---------------------------------
+
+
+def _strided(a):
+    """A non-contiguous view holding ``a``'s values."""
+    big = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    view = big[..., ::2]
+    view[...] = a
+    assert not view.flags.c_contiguous
+    return view
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(2, 6)),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    dt=st.floats(min_value=1e-6, max_value=10.0),
+    mode=st.sampled_from(("contiguous", "strided-input", "strided-out", "float32")),
+)
+def test_rk4_combine_bitwise_equals_four_passes(shape, seed, dt, mode):
+    """One compiled pass == axpy_into + 3x iadd_scaled, NumPy order,
+    and a field the C loop refuses takes exactly that NumPy path."""
+    from repro.mhd.state import FIELD_NAMES, MHDState
+
+    rng = np.random.default_rng(seed)
+
+    def rand_state():
+        return MHDState(*(rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+                          for _ in FIELD_NAMES))
+
+    y, ks = rand_state(), [rand_state() for _ in range(4)]
+    weights = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
+    out = MHDState.zeros(shape)
+    if mode == "strided-input":
+        ks[2].p = _strided(ks[2].p)
+    elif mode == "strided-out":
+        out.fth = _strided(out.fth)
+    elif mode == "float32":
+        ks[1].ar = ks[1].ar.astype(np.float32)
+
+    # the reference: the four NumPy passes rk4_step used to make
+    want = y.axpy_into(weights[0], ks[0], MHDState.zeros(shape))
+    for a, k in zip(weights[1:], ks[1:]):
+        want.iadd_scaled(a, k)
+
+    ck = _ck()
+    eligible = mode == "contiguous"
+    assert ck.rk4_combine_into(y.p, [k.p for k in ks], weights, out.p) == (
+        eligible or mode in ("strided-out", "float32"))
+    got = y.rk4_combine_into(weights, ks, out, ck)
+    assert got is out
+    plain = y.rk4_combine_into(weights, ks, MHDState.zeros(shape))
+    for name in FIELD_NAMES:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(getattr(plain, name), getattr(want, name))

@@ -148,3 +148,51 @@ class TestBackendsAndWireFormats:
         par = run_parallel_dynamo(config, 1, 2, 2)
         assert len(par.rank_step_seconds) == 4  # 2 panels x 1 x 2
         assert all(s > 0.0 for s in par.rank_step_seconds)
+
+
+def _traced_growth_program(world, config, overlap, warmup, steps):
+    """One rank: step past warm-up, then report how much the process's
+    traced memory grew over ``steps`` more steps (rank 0 reads the
+    shared tracemalloc counter between barriers)."""
+    import gc
+    import tracemalloc
+
+    from repro.parallel.parallel_solver import ParallelYinYangDynamo
+
+    solver = ParallelYinYangDynamo(world, config, 1, 1, overlap=overlap)
+    for _ in range(warmup):
+        solver.step()
+    world.barrier()
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    world.barrier()
+    for _ in range(steps):
+        solver.step()
+    world.barrier()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before, vars(solver).keys()
+
+
+class TestStepMemoryIsFlat:
+    """A rank must not retain anything per step (the id()-keyed
+    ``_field_cache`` used to pin every step's fresh stage state:
+    +8 arrays per step per rank, forever)."""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_thirty_steps_retain_nothing(self, config, overlap):
+        import tracemalloc
+
+        from repro.parallel.backends import get_backend
+
+        tracemalloc.start()
+        try:
+            results = get_backend("thread").run(
+                2, _traced_growth_program, config, overlap, 5, 30, timeout=300.0,
+            )
+        finally:
+            tracemalloc.stop()
+        growth, attrs = results[0]
+        one_state = 8 * config.nr * config.nth * config.nph * 8  # bytes
+        # the leak was 30 states per rank; allow well under one
+        assert growth < one_state // 2, f"traced memory grew {growth} B in 30 steps"
+        assert "_field_cache" not in attrs

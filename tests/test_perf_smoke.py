@@ -31,7 +31,9 @@ def case():
         p=noise(1.0), ar=noise(0.0), ath=noise(0.0), aph=noise(0.0),
     )
     omega = (0.0, 0.0, params.omega)
-    fused = PanelEquations(patch, params, omega, fused=True)
+    # the fused NumPy kernel explicitly: its cache and pool are what
+    # these tests count, whatever the default backend resolves to
+    fused = PanelEquations(patch, params, omega, backend="fused")
     reference = PanelEquations(patch, params, omega, fused=False)
     return state, fused, reference
 
