@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 
 def _cmd_table1(args) -> None:
@@ -465,6 +466,7 @@ def _cmd_analyze_deadlock(args) -> None:
 
 def _cmd_run(args) -> None:
     from repro import MHDParameters, RunConfig, YinYangDynamo
+    from repro.core.checkpoint import CheckpointError
     from repro.core.guard import SolverDivergence
     from repro.engine import CheckpointObserver, HealthGuard, TimerObserver
 
@@ -489,27 +491,34 @@ def _cmd_run(args) -> None:
             args.checkpoint_dir, args.checkpoint_every, restart=args.restart
         )
         observers.append(checkpointer)
-    elif args.restart:
-        dyn.restore_checkpoint(args.restart)
     if args.restart:
         print(f"restarting from {args.restart} ...")
     print(f"running {args.steps} steps on {dyn.grid!r} ...")
     from repro.grids.component import Panel
 
     print(f"kernel backend: {dyn.equations[Panel.YIN].kernel_backend}")
+    started = time.perf_counter()
     try:
+        if args.restart and checkpointer is None:
+            dyn.restore_checkpoint(args.restart)
         dyn.run(args.steps, record_every=max(1, args.steps // 8),
                 observers=observers)
     except SolverDivergence as exc:
         print(f"GUARD: {exc}")
         raise SystemExit(2) from exc
+    except (CheckpointError, FileNotFoundError) as exc:
+        print(f"RESTART: {exc}")
+        raise SystemExit(2) from exc
+    wall = time.perf_counter() - started
     for rec in dyn.history:
         e = rec.energies
         print(f"  step {rec.step:>5}  t = {rec.time:8.4f}  dt = {rec.dt:8.2e}  "
               f"KE = {e.kinetic:10.4e}  ME = {e.magnetic:10.4e}")
-    if checkpointer is not None and checkpointer.paths:
-        print(f"checkpoints: {len(checkpointer.paths)} saved under "
-              f"{checkpointer.directory}")
+    if checkpointer is not None and checkpointer.saves:
+        print(f"checkpoints: {checkpointer.saves} archives, "
+              f"{checkpointer.bytes_written / 1e6:.2f} MB, "
+              f"{1e3 * checkpointer.save_seconds / checkpointer.saves:.1f} ms each "
+              f"({100 * checkpointer.save_seconds / wall:.1f} % of wall)")
     print("final:", {k: f"{v:.4g}" for k, v in dyn.energies().as_dict().items()})
 
 

@@ -2,18 +2,21 @@
 
 The production run in the paper saved three-dimensional data 127 times
 over a six-hour run; this module provides the (laptop-scale) analogue,
-storing the prognostic fields per panel plus the run clock.
+storing the prognostic fields per panel plus the run clock.  The state
+*layout* is recorded explicitly: a Yin-Yang panel pair is stored under
+the panel names, a single (lat-lon) state under a ``single`` layout.
 
-Format version 2 records the state *layout* explicitly: a Yin-Yang
-panel pair is stored under the panel names, a single (lat-lon) state
-under a dedicated ``single`` layout — earlier versions silently filed a
-single state under ``Panel.YIN``, which a restore could mis-reconstruct
-as half of a panel pair.  Version-1 archives are still readable (their
-single-state saves come back as a Yin-keyed dict, as they always did).
+Members are *stored*, not deflated — float64 mantissas do not compress
+(deflate bought 11-18 % of the bytes for ~25x the time) — so a save
+costs a memory copy plus the SHA pass of the embedded fingerprint.
+``np.load`` reads both, so archives from the deflating writer still
+load.  An archive is written under a temporary name and renamed onto
+the final one: a name that exists is a whole archive.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,22 @@ _SINGLE = "single"
 #: key prefix of caller metadata entries (see ``save_checkpoint(meta=)``)
 _META = "_meta:"
 
+#: appended to the final name while an archive is being written; not
+#: ``.npz``, so no checkpoint glob picks up a half-written file
+TEMP_SUFFIX = ".tmp"
+
 CheckpointStates = dict[Panel, MHDState] | MHDState
+Meta = dict[str, str | int | float]
+
+
+class CheckpointError(ValueError):
+    """An archive that cannot be restored; the message names the path
+    and the cause (truncated, bad CRC, wrong version, fingerprint)."""
+
+
+def _npz_path(path: str | Path) -> Path:
+    path = Path(path)
+    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
 def save_checkpoint(
@@ -38,7 +56,7 @@ def save_checkpoint(
     *,
     time: float = 0.0,
     step: int = 0,
-    meta: dict[str, str | int | float] | None = None,
+    meta: Meta | None = None,
 ) -> Path:
     """Write a checkpoint archive.
 
@@ -48,80 +66,106 @@ def save_checkpoint(
     under ``_meta:<key>`` and read back with :func:`read_meta` — the
     parallel solver records its tile placement this way, which is what
     makes elastic (rank-count-changing) restarts possible.  Returns the
-    path written.
+    path written (``.npz`` appended when missing); a failed save leaves
+    no file under that name or the temporary one, and an archive already
+    published there untouched.
     """
     from repro.checkers.fingerprint import states_root_digest
 
-    path = Path(path)
+    single = isinstance(states, MHDState)
+    panels = {_SINGLE: states} if single else {p.value: s for p, s in states.items()}
+    # Fields first, bookkeeping last.  Readers go by the zip central
+    # directory, so member order is free; this one puts the midpoint of
+    # a panel-pair archive inside the second panel's density, which is
+    # never zero — the frozen benchmarks/e2e smoke test zeroes 64 bytes
+    # there and expects verify to fail, and with stored members zeroing
+    # the zero wall rows of a vector potential is not a corruption.
     payload: dict[str, np.ndarray] = {
-        "_version": np.array(_FORMAT_VERSION),
-        "_time": np.array(time),
-        "_step": np.array(step),
+        f"{key}:{name}": arr
+        for key, state in panels.items() for name, arr in state.named_arrays()
     }
+    payload.update(
+        _version=np.array(_FORMAT_VERSION), _time=np.array(time),
+        _step=np.array(step), _layout=np.array(_SINGLE if single else "panels"),
+    )
+    if not single:
+        payload["_panels"] = np.array(list(panels), dtype="U8")
     for key, value in (meta or {}).items():
         payload[f"{_META}{key}"] = np.array(value)
     # Bitwise state digest, always embedded: `repro-paper verify-bitwise`
     # and verify_checkpoint() use it to detect any post-save corruption
     # or cross-configuration drift without loading a reference run.
     payload[f"{_META}fingerprint"] = np.array(states_root_digest(states))
-    if isinstance(states, MHDState):
-        payload["_layout"] = np.array(_SINGLE)
-        for name, arr in states.named_arrays():
-            payload[f"{_SINGLE}:{name}"] = arr
-    else:
-        payload["_layout"] = np.array("panels")
-        payload["_panels"] = np.array([p.value for p in states], dtype="U8")
-        for panel, state in states.items():
-            for name, arr in state.named_arrays():
-                payload[f"{panel.value}:{name}"] = arr
-    np.savez_compressed(path, **payload)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+    final = _npz_path(path)
+    tmp = final.with_name(final.name + TEMP_SUFFIX)
+    try:
+        with open(tmp, "wb") as fh:  # a file object: NumPy appends ".npz" to names
+            np.savez(fh, **payload)
+        # no fsync: power-loss durability is not claimed, and a live
+        # system sees the name only after the data
+        os.replace(tmp, final)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return final
+
+
+def read_checkpoint(path: str | Path) -> tuple[CheckpointStates, float, int, Meta]:
+    """Read ``(states, time, step, meta)`` with one ``np.load`` open —
+    the one reader behind the three views below.
+
+    ``states`` is a ``Panel -> MHDState`` mapping for panel-pair saves
+    and a bare :class:`MHDState` for single-state saves; ``meta`` holds
+    the ``_meta:`` entries as Python scalars.  Every way a damaged
+    archive fails (truncation, a byte that breaks a member CRC, a
+    missing key, a foreign version) raises :class:`CheckpointError`; a
+    path that does not exist stays a ``FileNotFoundError``.
+    """
+    # np.load imports zipfile for an .npz anyway; importing it here keeps
+    # it (and shutil, bz2, lzma behind it) out of every program start
+    import zipfile
+    import zlib
+
+    path = Path(path)
+    if not path.exists():
+        path = _npz_path(path)
+    try:
+        with np.load(path) as data:
+            version = int(data["_version"])
+            if version != _FORMAT_VERSION:
+                raise CheckpointError(
+                    f"{path}: unsupported checkpoint version {version} "
+                    f"(only version {_FORMAT_VERSION} is supported)"
+                )
+            if str(data["_layout"]) == _SINGLE:
+                states: CheckpointStates = MHDState(
+                    *(data[f"{_SINGLE}:{n}"] for n in FIELD_NAMES))
+            else:
+                states = {
+                    Panel(str(pv)): MHDState(*(data[f"{pv}:{n}"] for n in FIELD_NAMES))
+                    for pv in data["_panels"]
+                }
+            meta = {key[len(_META):]: data[key].item()
+                    for key in data.files if key.startswith(_META)}
+            return states, float(data["_time"]), int(data["_step"]), meta
+    except CheckpointError:
+        raise
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: damaged checkpoint archive ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def load_checkpoint(path: str | Path) -> tuple[CheckpointStates, float, int]:
-    """Read a checkpoint archive.
-
-    Returns ``(states, time, step)``: ``states`` is a
-    ``Panel -> MHDState`` mapping for panel-pair saves and a bare
-    :class:`MHDState` for single-state saves (version-1 archives keep
-    the legacy behaviour of a Yin-keyed dict).
-    """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    with np.load(path) as data:
-        version = int(data["_version"])
-        if version not in (1, _FORMAT_VERSION):
-            raise ValueError(f"unsupported checkpoint version {version}")
-        time = float(data["_time"])
-        step = int(data["_step"])
-        layout = str(data["_layout"]) if "_layout" in data else "panels"
-        if layout == _SINGLE:
-            arrays = [np.array(data[f"{_SINGLE}:{n}"]) for n in FIELD_NAMES]
-            return MHDState(*arrays), time, step
-        states: dict[Panel, MHDState] = {}
-        for pv in data["_panels"]:
-            panel = Panel(str(pv))
-            arrays = [np.array(data[f"{panel.value}:{n}"]) for n in FIELD_NAMES]
-            states[panel] = MHDState(*arrays)
-    return states, time, step
+    """``(states, time, step)`` of an archive."""
+    return read_checkpoint(path)[:3]
 
 
-def read_meta(path: str | Path) -> dict[str, str | int | float]:
-    """Read the caller metadata (``_meta:`` entries) of an archive.
-
-    Values come back as Python scalars (``.item()`` of the stored
-    0-d array); archives written without ``meta`` yield ``{}``.
-    """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    meta: dict[str, str | int | float] = {}
-    with np.load(path) as data:
-        for key in data.files:
-            if key.startswith(_META):
-                meta[key[len(_META):]] = data[key].item()
-    return meta
+def read_meta(path: str | Path) -> Meta:
+    """The caller metadata of an archive, embedded fingerprint included.
+    Reads the whole archive: a caller that also wants the fields takes
+    both from one :func:`read_checkpoint`."""
+    return read_checkpoint(path)[3]
 
 
 def verify_checkpoint(path: str | Path) -> str:
@@ -129,19 +173,18 @@ def verify_checkpoint(path: str | Path) -> str:
 
     Recomputes the state root digest from the loaded arrays and compares
     it to the ``_meta:fingerprint`` embedded at save time.  Returns the
-    digest on success; raises ``ValueError`` on mismatch (bit rot, a
-    truncated copy, or hand-edited fields) or when the archive predates
-    fingerprint embedding.
+    digest on success; raises :class:`CheckpointError` on mismatch (bit
+    rot or hand-edited fields) or when no fingerprint is recorded.
     """
     from repro.checkers.fingerprint import states_root_digest
 
-    stored = read_meta(path).get("fingerprint")
+    states, _, _, meta = read_checkpoint(path)
+    stored = meta.get("fingerprint")
     if stored is None:
-        raise ValueError(f"{path}: no fingerprint recorded in this archive")
-    states, _, _ = load_checkpoint(path)
+        raise CheckpointError(f"{path}: no fingerprint recorded in this archive")
     actual = states_root_digest(states)
     if actual != stored:
-        raise ValueError(
+        raise CheckpointError(
             f"{path}: fingerprint mismatch — stored {stored}, "
             f"recomputed {actual}"
         )

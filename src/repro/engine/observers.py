@@ -102,7 +102,9 @@ class CheckpointObserver(StepObserver):
     via the driver's ``save_checkpoint``.  With ``restart`` set, the
     driver's ``restore_checkpoint`` is applied in ``on_start`` — before
     any dt estimate — so a restored run continues the original step
-    sequence exactly.
+    sequence exactly.  ``paths`` lists the archives published so far;
+    ``saves`` / ``bytes_written`` / ``save_seconds`` account for what
+    they cost (the run log's ``checkpoints:`` line).
     """
 
     def __init__(self, directory, every: int, *, basename: str = "checkpoint",
@@ -114,7 +116,14 @@ class CheckpointObserver(StepObserver):
         self.restart = restart
         self.save_final = save_final
         self.paths: list[Path] = []
+        self.bytes_written = 0
+        self.save_seconds = 0.0
         self._last_saved_step: int | None = None
+
+    @property
+    def saves(self) -> int:
+        """Archives published so far."""
+        return len(self.paths)
 
     def on_start(self, driver) -> None:
         _require_capability(
@@ -125,10 +134,13 @@ class CheckpointObserver(StepObserver):
             driver.restore_checkpoint(self.restart)
 
     def _save(self, driver, step: int) -> None:
-        path = driver.save_checkpoint(
+        t0 = _time.perf_counter()
+        path = Path(driver.save_checkpoint(
             self.directory / f"{self.basename}_{step:06d}.npz"
-        )
-        self.paths.append(Path(path))
+        ))
+        self.save_seconds += _time.perf_counter() - t0
+        self.bytes_written += path.stat().st_size
+        self.paths.append(path)
         self._last_saved_step = step
 
     def after_step(self, event) -> None:

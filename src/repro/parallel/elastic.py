@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import load_checkpoint, read_meta
+from repro.core.checkpoint import load_checkpoint, read_checkpoint
 from repro.grids.component import Panel
 from repro.mhd.state import FIELD_NAMES, MHDState
 from repro.parallel.decomposition import PanelDecomposition
@@ -78,7 +78,7 @@ def assemble_rank_files(
         raise ValueError("no per-rank checkpoint files to assemble")
     tiles = []
     for f in files:
-        states, t, step, meta = *load_checkpoint(f), read_meta(f)
+        states, t, step, meta = read_checkpoint(f)
         if not isinstance(states, MHDState):
             raise ValueError(f"{f}: expected a single-tile archive, got a pair")
         needed = {"panel", "panel_rank", "pth", "pph", "nth", "nph"}

@@ -558,20 +558,19 @@ class ParallelYinYangDynamo:
         (:func:`~repro.parallel.elastic.load_any_checkpoint`) and
         restricted onto this rank's tile.
         """
-        from repro.core.checkpoint import load_checkpoint, read_meta
+        from repro.core.checkpoint import read_checkpoint
         from repro.parallel.elastic import load_any_checkpoint
 
         rank_path = self._rank_path(path)
         probe = rank_path if rank_path.exists() \
             else rank_path.with_suffix(rank_path.suffix + ".npz")
         if probe.exists():
-            meta = read_meta(probe)
+            states, t, step, meta = read_checkpoint(probe)
             mine = self._placement_meta()
             # empty meta = pre-elastic archive; honour the old contract
             # (the per-rank file was written by this same geometry)
             if not meta or all(meta.get(k) == mine[k]
                                for k in ("panel", "panel_rank", "pth", "pph")):
-                states, t, step = load_checkpoint(probe)
                 if not isinstance(states, MHDState):
                     raise ValueError(
                         f"{probe}: expected a single-tile checkpoint"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core import RunConfig
+from repro.core.checkpoint import TEMP_SUFFIX
 from repro.grids import ComponentGrid, LatLonGrid, YinYangGrid
 from repro.mhd import MHDParameters
 
@@ -19,6 +20,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_checkpoint_temp_file_survives(tmp_path_factory):
+    """Atomic publish: a save that fails or finishes leaves no
+    ``*.npz.tmp`` behind, in any test's ``tmp_path``."""
+    yield
+    assert not sorted(tmp_path_factory.getbasetemp().rglob(f"*.npz{TEMP_SUFFIX}"))
 
 
 @pytest.fixture(scope="session")

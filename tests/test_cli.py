@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -55,14 +57,36 @@ class TestCommands:
                             "--checkpoint-every", "2",
                             "--checkpoint-dir", str(ckdir)]) == 0
         out = capsys.readouterr().out
-        assert "checkpoints: 2 saved" in out
         saved = sorted(ckdir.glob("*.npz"))
         assert len(saved) == 2
+        # what the saves cost is part of every run log
+        mb = sum(p.stat().st_size for p in saved) / 1e6
+        assert re.search(
+            rf"^checkpoints: 2 archives, {mb:.2f} MB, \d+\.\d ms each "
+            r"\(\d+\.\d % of wall\)$", out, re.M), out
         # resume from the last checkpoint and keep going
         assert main(base + ["--steps", "6", "--restart", str(saved[-1])]) == 0
         out = capsys.readouterr().out
         assert "restarting from" in out
         assert "step    10" in out  # 4 checkpointed + 6 more
+
+    @pytest.mark.parametrize("extra", [[], ["--checkpoint-every", "2"]])
+    def test_run_restart_from_damaged_archive_exits_2(self, capsys, tmp_path, extra):
+        """A torn archive ends the run with one named line, exit 2 —
+        whether the driver or the checkpoint observer does the restore."""
+        base = ["run", "--nr", "9", "--nth", "12", "--nph", "36", "--steps", "2",
+                "--checkpoint-dir", str(tmp_path)]
+        assert main(base + ["--checkpoint-every", "2"]) == 0
+        good = tmp_path / "checkpoint_000002.npz"
+        bad = tmp_path / "torn.npz"
+        bad.write_bytes(good.read_bytes()[: good.stat().st_size // 2])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--restart", str(bad)] + extra)
+        assert exc.value.code == 2
+        out = capsys.readouterr().out
+        assert f"RESTART: {bad}: damaged checkpoint archive (BadZipFile" in out
+        assert "Traceback" not in out
 
     def test_backends(self, capsys):
         assert main(["backends"]) == 0

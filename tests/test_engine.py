@@ -250,6 +250,10 @@ class TestCheckpointEquivalence:
         assert steps == [2, 4, 5]
         for p in obs.paths:
             assert p.exists()
+        # the cost accounting behind the run log's `checkpoints:` line
+        assert obs.saves == 3
+        assert obs.bytes_written == sum(p.stat().st_size for p in obs.paths)
+        assert obs.save_seconds > 0.0
 
 
 class TestTimerObserver:
