@@ -60,11 +60,11 @@ def _config() -> RunConfig:
 
 
 def blocking_ops_per_step() -> int:
-    """Blocking ops the busiest rank issues in one overlapped step,
+    """Blocking ops the busiest rank issues in one step,
     counted on the same lifted protocol the model checker explores."""
     cfg = _CFG
     programs = dynamo_step_programs(cfg["nth"], cfg["nph"], *_LAYOUT,
-                                    nr=cfg["nr"], overlap=True)
+                                    nr=cfg["nr"])
     # every event ends up bracketed by at most one wfg registration
     # and one HB clock event; count the heaviest rank
     return max(len(prog) for prog in programs)
@@ -114,7 +114,7 @@ def measure_hb_cost(n_events: int = 20000) -> dict:
 
 def measure_step(n_steps: int = 4, rounds: int = 3, *,
                  sanitize: bool = False) -> float:
-    """Median per-step wall time of the overlapped thread world."""
+    """Median per-step wall time of the thread world."""
     cfg = _config()
     times = []
     old = os.environ.get("REPRO_SANITIZE")
@@ -125,7 +125,7 @@ def measure_step(n_steps: int = 4, rounds: int = 3, *,
             os.environ.pop("REPRO_SANITIZE", None)
         for _ in range(rounds):
             t0 = time.perf_counter()
-            run_parallel_dynamo(cfg, *_LAYOUT, n_steps, overlap=True)
+            run_parallel_dynamo(cfg, *_LAYOUT, n_steps)
             times.append((time.perf_counter() - t0) / n_steps)
     finally:
         if old is None:
@@ -152,7 +152,7 @@ def measure(n_ops: int = 20000, n_steps: int = 4, rounds: int = 3) -> dict:
         "methodology": (
             "per-op microbench x blocking-op count lifted from the step "
             "protocol (dynamo_step_programs), as a fraction of a measured "
-            "overlapped step; full-sanitizer A/B is informational (HB upper "
+            "step; full-sanitizer A/B is informational (HB upper "
             "bound plus poisoning and the protocol recorder)"
         ),
         "layout": {"pth": _LAYOUT[0], "pph": _LAYOUT[1],

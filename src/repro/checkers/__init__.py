@@ -30,8 +30,8 @@ protocol.  This package makes those rules checkable:
     ``repro-paper analyze deadlock``) — a schedule model checker over
     lifted per-rank comm-event programs proving deadlock-freedom or
     producing a minimal blocked-cycle witness, plus the rules
-    REP010-REP012 (provable deadlock, send-buffer write before the
-    request wait, unpaired split-phase exchange).
+    REP010-REP011 (provable deadlock, send-buffer write before the
+    request wait; REP012 is retired).
 :mod:`repro.checkers.hb`
     The dynamic happens-before layer — vector clocks, in-flight
     buffer-window race detection for the thread backend, and the

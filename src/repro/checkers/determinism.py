@@ -2,7 +2,7 @@
 
 The invariant behind every capability this reproduction ships — the
 process/socket backends, elastic restart, the compiled C kernels, the
-overlapped exchange schedule — is that the parallel result is *bitwise*
+schedule-fuzzed blocking exchange — is that the parallel result is *bitwise*
 identical to serial, the same property the Earth Simulator runs relied
 on for their validated TFlops numbers.  The hazards that silently break
 it are exactly four:

@@ -1,4 +1,4 @@
-"""Static schedule model checker and lint rules REP010-REP012.
+"""Static schedule model checker and lint rules REP010-REP011.
 
 The paper's 15.2 TFlops run is one hand-scheduled communication pattern
 across 4096 processes; a single mis-ordered send deadlocks it.  The
@@ -32,13 +32,11 @@ AST lifter -> REP010
     out conservatively: REP010 is only reported on *provable* deadlock
     cycles, never on "too dynamic to tell".
 
-REP011 / REP012 (syntactic)
-    REP011 flags writes to an ``Isend`` payload buffer between the post
-    and its wait — the transport may not have serialized the buffer
-    yet.  REP012 flags ``exchange_begin``/``exchange_state_begin``
-    handles that are dropped or never reach the matching ``finish``:
-    a begun split-phase exchange holds posted receives and in-flight
-    sends, so an unpaired begin strands the peer's sends forever.
+REP011 (syntactic)
+    Flags writes to an ``Isend`` payload buffer between the post and
+    its wait — the transport may not have serialized the buffer yet.
+    (REP012, unpaired split-phase exchange, is retired with the
+    split-phase exchange it checked; the number is not reused.)
 
 ``dynamo_step_programs``
     Derives the *actual* per-rank protocol of one solver step (overset
@@ -51,7 +49,8 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import count
 from pathlib import Path
 
 from repro.checkers.linter import (
@@ -80,7 +79,6 @@ ANY = None  # wildcard source / tag in the IR
 SCHEDULE_RULES = {
     "REP010": "provable blocking-cycle deadlock in a lifted comm protocol",
     "REP011": "send-buffer write between an Isend post and its wait",
-    "REP012": "unpaired exchange_begin/exchange_state_begin (handle never finished)",
 }
 
 #: collective method names recognised by the lifter (all rendezvous on
@@ -972,61 +970,6 @@ def _check_rep011(tree: ast.AST, path: str) -> list:
 
 
 # --------------------------------------------------------------------------
-# REP012: unpaired exchange_begin / finish
-# --------------------------------------------------------------------------
-
-_BEGIN_TO_FINISH = {
-    "exchange_begin": "exchange_finish",
-    "exchange_state_begin": "exchange_state_finish",
-}
-
-
-def _check_rep012(tree: ast.AST, path: str) -> list:
-    out = []
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(fn):
-            if not (isinstance(node, (ast.Expr, ast.Assign))
-                    and isinstance(getattr(node, "value", None), ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr in _BEGIN_TO_FINISH):
-                continue
-            begin = node.value.func.attr
-            finish = _BEGIN_TO_FINISH[begin]
-            if isinstance(node, ast.Expr):
-                out.append(Violation(
-                    rule="REP012", path=path, line=node.lineno,
-                    col=node.col_offset,
-                    message=(f"result of {begin}() discarded — the posted "
-                             f"receives and in-flight sends can never be "
-                             f"completed with {finish}()"),
-                ))
-                continue
-            if not (len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                continue
-            handle = node.targets[0].id
-            used = False
-            for other in ast.walk(fn):
-                if other is node or not isinstance(other, ast.Name):
-                    continue
-                if other.id == handle and isinstance(other.ctx, ast.Load):
-                    used = True
-                    break
-            if not used:
-                out.append(Violation(
-                    rule="REP012", path=path, line=node.lineno,
-                    col=node.col_offset,
-                    message=(f"handle '{handle}' from {begin}() is never "
-                             f"read — the exchange is begun but never "
-                             f"reaches {finish}(), stranding the peer's "
-                             f"sends"),
-                ))
-    return out
-
-
-# --------------------------------------------------------------------------
 # lint entry points (mirrors repro.checkers.linter)
 # --------------------------------------------------------------------------
 
@@ -1039,7 +982,7 @@ def schedule_lint_source(
     max_states: int = 20_000,
     tree=None,
 ) -> list:
-    """Run REP010-REP012 over one file's source.
+    """Run REP010-REP011 over one file's source.
 
     ``tree`` accepts a pre-parsed module (the single-pass driver's
     shared parse).
@@ -1057,8 +1000,6 @@ def schedule_lint_source(
         found.extend(_check_rep010(tree, path, sizes, max_states))
     if "REP011" in active:
         found.extend(_check_rep011(tree, path))
-    if "REP012" in active:
-        found.extend(_check_rep012(tree, path))
     noqa = _noqa_lines(source)
     found = [v for v in found if v.rule not in noqa.get(v.line, set())]
     return sorted(set(found), key=lambda v: (v.path, v.line, v.col, v.rule))
@@ -1086,7 +1027,6 @@ def dynamo_step_programs(
     pph: int,
     *,
     nr: int = 5,
-    overlap: bool = False,
     with_allreduce: bool = True,
 ) -> list[list[Op]]:
     """Per-world-rank Op programs for one ``enforce`` stage.
@@ -1095,8 +1035,7 @@ def dynamo_step_programs(
     plans and cartesian neighbour arithmetic the runtime uses (world
     rank = panel_index * ranks_per_panel + panel_rank, matching
     ``ParallelPanelSolver``), so the checked protocol *is* the shipped
-    one.  ``overlap=True`` produces the split-phase order of
-    ``enforce_rhs`` under ``REPRO_OVERLAP=1``.
+    one.
     """
     # lazy imports: this module must stay importable without numpy et al
     from repro.grids.yinyang import YinYangGrid
@@ -1115,47 +1054,20 @@ def dynamo_step_programs(
         halo = HaloExchanger.protocol_ops((pth, pph), prank)
         comm = f"panel{panel_index}"
         ops: list[Op] = []
-        handle = 0
-        ov_waits: list[Op] = []
-        for src, tag in plan["recvs"]:
-            handle += 1
-            op = Op("irecv", peer=src, tag=tag, comm="world", handle=handle)
-            ops.append(op)
-            ov_waits.append(replace(op, kind="wait"))
-        ov_sends = [Op("send", peer=dest, tag=tag, comm="world")
-                    for dest, tag in plan["sends"]]
-        halo_phases = []
-        for phase in halo:
-            recvs, waits = [], []
-            for nbr, tag in phase["recvs"]:
-                handle += 1
-                op = Op("irecv", peer=panel_index * nper + nbr, tag=tag,
-                        comm=comm, handle=handle)
-                recvs.append(op)
-                waits.append(replace(op, kind="wait"))
-            sends = [Op("send", peer=panel_index * nper + nbr, tag=tag,
-                        comm=comm) for nbr, tag in phase["sends"]]
-            halo_phases.append((recvs, sends, waits))
-        if not overlap:
-            # enforce(): overset exchange_state, then halo.exchange —
-            # each phase fully (post recvs, send, wait) before the next
-            ops.extend(ov_sends)
-            ops.extend(ov_waits)
-            for recvs, sends, waits in halo_phases:
-                ops.extend(recvs)
-                ops.extend(sends)
-                ops.extend(waits)
-        else:
-            # enforce_rhs() split-phase: overset begin (recv posts +
-            # sends), halo begin (ALL phase recv posts), interior RHS,
-            # overset finish, halo finish (per phase: sends then waits)
-            ops.extend(ov_sends)
-            for recvs, _sends, _waits in halo_phases:
-                ops.extend(recvs)
-            ops.extend(ov_waits)
-            for _recvs, sends, waits in halo_phases:
-                ops.extend(sends)
-                ops.extend(waits)
+        handles = count(1)
+        # enforce(): overset exchange_state, then the two halo phases —
+        # each exchange fully (post recvs, send, wait) before the next
+        exchanges = [("world", 0, plan["recvs"], plan["sends"])] + [
+            (comm, panel_index * nper, phase["recvs"], phase["sends"])
+            for phase in halo
+        ]
+        for on, base, recvs, sends in exchanges:
+            posted = [Op("irecv", peer=base + src, tag=tag, comm=on,
+                         handle=next(handles)) for src, tag in recvs]
+            ops.extend(posted)
+            ops.extend(Op("send", peer=base + dest, tag=tag, comm=on)
+                       for dest, tag in sends)
+            ops.extend(replace(op, kind="wait") for op in posted)
         if with_allreduce:
             # the adaptive-dt panel allreduce + world min-reduction
             ops.append(Op("coll", comm=comm, seq=0,

@@ -143,25 +143,21 @@ def _cmd_run_parallel(args) -> None:
         print(f"restarting from {args.restart} ...")
     res = run_parallel_dynamo(
         config, pth, pph, args.steps, backend=args.backend,
-        overlap=True if args.overlap else None,
         restart=args.restart or None,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every or None,
     )
     print(f"kernel backend: {res.kernel_backend}")
     print(f"launcher backend: {res.launcher_backend}")
-    print(f"exchange schedule: {'overlapped' if res.overlap else 'blocking'}")
     grid = YinYangGrid(config.nr, config.nth, config.nph,
                        ri=params.ri, ro=params.ro,
                        extra_theta=config.extra_theta, extra_phi=config.extra_phi)
-    phases = zip(res.rank_comm_seconds, res.rank_interior_seconds,
-                 res.rank_rim_seconds)
-    for rank, (sec, (comm, interior, rim)) in enumerate(
-        zip(res.rank_step_seconds, phases)
+    for rank, (sec, comm) in enumerate(
+        zip(res.rank_step_seconds, res.rank_comm_seconds)
     ):
         rate = res.steps / sec if sec > 0 else float("inf")
         print(f"  rank {rank:>3}  step loop {sec:8.3f} s  ({rate:8.2f} steps/s)  "
-              f"comm {comm:7.3f} s  interior {interior:7.3f} s  rim {rim:7.3f} s")
+              f"comm {comm:7.3f} s")
     e = yinyang_energies(grid, res.states, params)
     print(f"t = {res.time:.4f} after {res.steps} steps")
     print("final:", {k: f"{v:.4g}" for k, v in e.as_dict().items()})
@@ -228,7 +224,7 @@ def _cmd_worker(args) -> None:
 
 
 def _cmd_lint(args) -> None:
-    """All sixteen REP rules in one pass over one shared parse per file.
+    """All fifteen REP rules in one pass over one shared parse per file.
 
     ``--rules`` selects a subset; ``--shapes``/``--schedule``/``--all``
     are retained for script compatibility but every family now runs by
@@ -275,8 +271,7 @@ def _verify_bitwise_cases():
     matrix means the same whichever way the default resolves: the
     compiled C backend's contract is bitwise identity with ``fused``
     (mirroring ``test_rhs_c_bitwise_matches_fused``), and it is held to
-    it serially, on every launcher, under both exchange schedules and
-    across an elastic restart.  The ``fused`` case is a second serial
+    it serially, on every launcher and across an elastic restart.  The ``fused`` case is a second serial
     fused run: run-to-run stability.  ``default`` is what a user who
     sets nothing gets.  ``elastic`` is special-cased in the driver
     (checkpoint mid-run at 4 ranks, restart at 2).
@@ -286,11 +281,7 @@ def _verify_bitwise_cases():
         ("c", "c", "fused", None),
         ("default", None, "fused", None),
         ("thread", "c", "fused", {"backend": "thread"}),
-        ("thread-overlap", "c", "fused",
-         {"backend": "thread", "overlap": True}),
         ("process", "c", "fused", {"backend": "process"}),
-        ("process-overlap", "c", "fused",
-         {"backend": "process", "overlap": True}),
         ("socket", "c", "fused", {"backend": "socket"}),
         ("elastic", "c", "fused", {"backend": "process"}),
     ]
@@ -302,8 +293,7 @@ def _cmd_verify_bitwise(args) -> None:
     Runs a serial reference per kernel backend (today: ``fused``),
     fingerprinting every step, then replays the same configuration
     through each requested case (kernel
-    backends, launcher backends, overlapped schedules, an elastic
-    restart) and demands digest-for-digest identical state timelines.
+    backends, launcher backends, an elastic restart) and demands digest-for-digest identical state timelines.
     The first mismatch is reported as (step, panel, field).  Exit 1 on
     any divergence; unavailable backends are reported and skipped.
     """
@@ -435,13 +425,9 @@ def _cmd_analyze_deadlock(args) -> None:
         ["buffered", "rendezvous"] if args.semantics == "both"
         else [args.semantics]
     )
-    schedule = "overlapped" if args.overlap else "blocking"
     print(f"layout: 2 panels x {pth} x {pph} = {args.ranks} ranks, "
-          f"grid nth={args.nth} nph={args.nph} nr={args.nr}, "
-          f"{schedule} schedule")
-    programs = dynamo_step_programs(
-        args.nth, args.nph, pth, pph, nr=args.nr, overlap=args.overlap,
-    )
+          f"grid nth={args.nth} nph={args.nph} nr={args.nr}")
+    programs = dynamo_step_programs(args.nth, args.nph, pth, pph, nr=args.nr)
     n_ops = sum(len(p) for p in programs)
     print(f"lifted {n_ops} comm events across {len(programs)} rank programs")
     failed = False
@@ -595,11 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=4, metavar="N",
                    help="total ranks for a parallel backend (even; "
                         "2 panels x near-square process array)")
-    p.add_argument("--overlap", action="store_true",
-                   help="split-phase exchange overlapped with the interior "
-                        "RHS (same as REPRO_OVERLAP=1; falls back to the "
-                        "blocking schedule on backends without non-blocking "
-                        "support)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
@@ -625,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deprecated no-op: the REP005-REP008 shape rules "
                         "now run by default")
     p.add_argument("--schedule", action="store_true",
-                   help="deprecated no-op: the REP010-REP012 concurrency "
+                   help="deprecated no-op: the REP010-REP011 concurrency "
                         "rules now run by default")
     p.set_defaults(fn=_cmd_lint)
 
@@ -633,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-bitwise",
         help="dynamic bitwise-determinism harness: run a serial numpy "
              "reference with per-step state digests, replay through "
-             "kernel/launcher/overlap/elastic-restart configurations, "
+             "kernel/launcher/elastic-restart configurations, "
              "and fail naming the first divergent (step, panel, field)",
     )
     p.add_argument("--nr", type=int, default=5)
@@ -645,8 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", default=None,
                    metavar="fused,c,thread,...",
                    help="comma-separated case subset (default: all of "
-                        "fused, c, thread, thread-overlap, process, "
-                        "process-overlap, socket, elastic)")
+                        "fused, c, default, thread, process, socket, "
+                        "elastic)")
     p.add_argument("--smoke", action="store_true",
                    help="CI subset: just the process launcher and the "
                         "compiled C kernel backend")
@@ -673,9 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both",
                    help="send semantics to check under (rendezvous is the "
                         "stricter, MPI-standard-safe model)")
-    p.add_argument("--overlap", action="store_true",
-                   help="check the split-phase overlapped schedule instead "
-                        "of the blocking one")
     p.add_argument("--max-states", type=int, default=200_000,
                    help="state-exploration cap before giving up undecided")
     p.set_defaults(fn=_cmd_analyze_deadlock)

@@ -257,34 +257,14 @@ class TimerObserver(StepObserver):
             return 0
         return int(self.registry.timer(self.name).count)
 
-    # -- per-phase accounting (drivers exposing ``phase_seconds``) ----------
-
-    def _phase_seconds(self, key: str) -> float:
-        """Wall seconds the driver attributed to one step phase.
-
-        Drivers that split their step (``ParallelYinYangDynamo``)
-        accumulate a ``phase_seconds`` mapping with ``comm`` /
-        ``interior`` / ``rim`` keys; drivers without one report 0.0 —
-        the blocking analogue books enforce time under ``comm`` and the
-        whole RHS under ``rim``, so the split is comparable across
-        ``REPRO_OVERLAP`` settings.
-        """
-        phases = getattr(self._driver, "phase_seconds", None)
-        if not phases:
-            return 0.0
-        return float(phases.get(key, 0.0))
+    # -- communication accounting (drivers exposing ``phase_seconds``) ----
 
     @property
     def comm_seconds(self) -> float:
-        """Seconds spent in exchange begin/finish (or blocking enforce)."""
-        return self._phase_seconds("comm")
-
-    @property
-    def interior_seconds(self) -> float:
-        """Seconds spent in the interior RHS pass (0.0 when blocking)."""
-        return self._phase_seconds("interior")
-
-    @property
-    def rim_seconds(self) -> float:
-        """Seconds spent in the rim RHS pass (whole RHS when blocking)."""
-        return self._phase_seconds("rim")
+        """Wall seconds the driver booked under ``phase_seconds["comm"]``
+        (``ParallelYinYangDynamo``: every ``enforce``); 0.0 for drivers
+        without one."""
+        phases = getattr(self._driver, "phase_seconds", None)
+        if not phases:
+            return 0.0
+        return float(phases.get("comm", 0.0))

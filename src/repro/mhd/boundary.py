@@ -47,41 +47,28 @@ class WallBC:
     magnetic: MagneticBC = MagneticBC.PERFECT_CONDUCTOR
 
     def apply(self, state: MHDState) -> None:
-        self.apply_columns(state, slice(None), slice(None))
-
-    def apply_columns(self, state: MHDState, th: slice, ph: slice) -> None:
-        """Apply the wall conditions to the ``(th, ph)`` angular sub-box.
-
-        Every condition is column-local — each wall-plane value is a
-        function of the adjacent radial plane in the *same* angular
-        column — so a sliced application is bitwise identical to the
-        restriction of a full :meth:`apply`.  The split-phase exchange
-        schedule leans on this: columns whose radial interiors no
-        exchange can touch are walled early (before the interior RHS),
-        the rest after the exchanges finish.
-        """
         prm = self.params
         # no-slip, impenetrable: mass flux vanishes on the walls
         for comp in state.f:
-            comp[0, th, ph] = 0.0
-            comp[-1, th, ph] = 0.0
+            comp[0] = 0.0
+            comp[-1] = 0.0
         # zero-gradient density extrapolation, then fixed temperature via p = rho T
-        state.rho[0, th, ph] = state.rho[1, th, ph]
-        state.rho[-1, th, ph] = state.rho[-2, th, ph]
-        state.p[0, th, ph] = state.rho[0, th, ph] * prm.t_inner
-        state.p[-1, th, ph] = state.rho[-1, th, ph] * 1.0
+        state.rho[0] = state.rho[1]
+        state.rho[-1] = state.rho[-2]
+        state.p[0] = state.rho[0] * prm.t_inner
+        state.p[-1] = state.rho[-1] * 1.0
         # magnetic condition
         if self.magnetic is MagneticBC.PERFECT_CONDUCTOR:
-            state.ath[0, th, ph] = 0.0
-            state.aph[0, th, ph] = 0.0
-            state.ath[-1, th, ph] = 0.0
-            state.aph[-1, th, ph] = 0.0
-            state.ar[0, th, ph] = state.ar[1, th, ph]
-            state.ar[-1, th, ph] = state.ar[-2, th, ph]
+            state.ath[0] = 0.0
+            state.aph[0] = 0.0
+            state.ath[-1] = 0.0
+            state.aph[-1] = 0.0
+            state.ar[0] = state.ar[1]
+            state.ar[-1] = state.ar[-2]
         else:  # PSEUDO_VACUUM
-            state.ar[0, th, ph] = 0.0
-            state.ar[-1, th, ph] = 0.0
-            state.ath[0, th, ph] = state.ath[1, th, ph]
-            state.aph[0, th, ph] = state.aph[1, th, ph]
-            state.ath[-1, th, ph] = state.ath[-2, th, ph]
-            state.aph[-1, th, ph] = state.aph[-2, th, ph]
+            state.ar[0] = 0.0
+            state.ar[-1] = 0.0
+            state.ath[0] = state.ath[1]
+            state.aph[0] = state.aph[1]
+            state.ath[-1] = state.ath[-2]
+            state.aph[-1] = state.aph[-2]

@@ -111,9 +111,6 @@ class PanelEquations:
         self.patch = patch
         self.params = params
         self.omega_cart = omega_cart
-        self._init_fused = fused
-        #: sub-box evaluators keyed by slice bounds (see :meth:`region`)
-        self._regions: dict[tuple, PanelEquations] = {}
         #: RHS subtracted from every evaluation (see :meth:`subtract_base`)
         self.base_rhs: MHDState | None = None
         self.kernel_backend = "numpy" if not fused else kernel_backend.select(backend)
@@ -151,52 +148,6 @@ class PanelEquations:
         # build failure can still fall back to the fused NumPy path
         self._cctx = None
 
-    # ---- sub-box evaluators (split-phase overlap) ------------------------------
-
-    def region(self, r_sl: slice, th_sl: slice, ph_sl: slice) -> PanelEquations:
-        """An evaluator for the sub-box ``[r_sl, th_sl, ph_sl]`` of this patch.
-
-        Built once per distinct box and cached.  The sub-patch reuses
-        the parent's coordinate *slices* and — crucially — the parent's
-        cached ``dr``/``dtheta``/``dphi`` scalars (a slice's own
-        ``r[1] - r[0]`` can differ from the parent's in the last ULP,
-        which would de-synchronise every folded stencil coefficient).
-        All metric factors and folded coefficients are per-point
-        functions of the coordinates and the shared spacings, so the
-        sub-box evaluator's RHS is bitwise identical, point for point,
-        to the parent evaluating the full patch — the property the
-        interior/rim split of ``REPRO_OVERLAP=1`` rests on.
-
-        The sub-evaluator is pinned to the parent's *resolved* kernel
-        backend so both halves of a split step run the same kernels,
-        and carries the parent's base RHS restricted to the box, so the
-        cells it rewrites are well-balanced like the rest.
-        """
-        key = (
-            r_sl.start, r_sl.stop, th_sl.start, th_sl.stop,
-            ph_sl.start, ph_sl.stop,
-        )
-        cached = self._regions.get(key)
-        if cached is None:
-            sub = SphericalPatch(
-                self.patch.r[r_sl], self.patch.theta[th_sl], self.patch.phi[ph_sl]
-            )
-            # pre-seed the cached_property spacings from the parent
-            sub.__dict__["dr"] = self.patch.dr
-            sub.__dict__["dtheta"] = self.patch.dtheta
-            sub.__dict__["dphi"] = self.patch.dphi
-            cached = PanelEquations(
-                sub, self.params, self.omega_cart,
-                fused=self._init_fused, backend=self.kernel_backend,
-            )
-            if self.base_rhs is not None:
-                cached.base_rhs = MHDState(*(
-                    np.ascontiguousarray(a[r_sl, th_sl, ph_sl])
-                    for a in self.base_rhs.arrays()
-                ))
-            self._regions[key] = cached
-        return cached
-
     # ---- subsidiary fields -----------------------------------------------------
 
     @contract
@@ -232,7 +183,6 @@ class PanelEquations:
         subtracted from every later :meth:`rhs` (well-balanced scheme).
         """
         self.base_rhs = None
-        self._regions.clear()
         self.base_rhs = self.rhs(base_state)
 
     def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:

@@ -29,7 +29,10 @@ def rk4_step(system: TimeDependentSystem, y: S, dt: float,
 
     Boundary conditions are re-imposed on every stage state before its
     derivative is evaluated, and on the final result — the standard
-    method-of-lines treatment for Dirichlet-type conditions.
+    method-of-lines treatment for Dirichlet-type conditions.  Every
+    stage is ``enforce`` then ``rhs``: a parallel system completes its
+    boundary communication before the derivative reads any halo (the
+    paper's blocking schedule).
 
     Systems exposing ``axpy_into(y, a, k, out)`` get their dead stage
     states recycled: once a stage's derivative is taken, its storage
@@ -44,36 +47,26 @@ def rk4_step(system: TimeDependentSystem, y: S, dt: float,
     every step recycles all derivative memory; the returned state never
     aliases them.
 
-    Systems exposing ``enforce_rhs(state, out=None) -> state`` get every
-    enforce-then-derivative pair routed through it, so a parallel
-    system may interleave its boundary communication with the
-    derivative evaluation (the split-phase ``REPRO_OVERLAP=1``
-    schedule).  The contract is that ``enforce_rhs(y)`` leaves ``y``
-    exactly as ``enforce(y)`` would and returns exactly what a
-    subsequent ``rhs(y)`` would — bitwise.
-
     Systems whose ``rk4_combine`` is not None get the final combine
     ``y + dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4`` as one call,
     ``rk4_combine(y, weights, ks, out)``, which must round exactly like
     the ``axpy_into`` + three ``iadd_scaled`` passes it replaces.
     """
-    fused_stage = getattr(system, "enforce_rhs", None)
-    if fused_stage is None:
-        def fused_stage(state, out=None):
-            system.enforce(state)
-            # plain systems (heat, shallow water, test scalars) take no out
-            return system.rhs(state) if out is None else system.rhs(state, out=out)
+    def derivative(state, out):
+        system.enforce(state)
+        # plain systems (heat, shallow water, test scalars) take no out
+        return system.rhs(state) if out is None else system.rhs(state, out=out)
 
-    k1 = fused_stage(y, ks[0])
+    k1 = derivative(y, ks[0])
 
     y2 = system.axpy(y, dt / 2.0, k1)
-    k2 = fused_stage(y2, ks[1])
+    k2 = derivative(y2, ks[1])
 
     y3 = _stage(system, y, dt / 2.0, k2, y2)
-    k3 = fused_stage(y3, ks[2])
+    k3 = derivative(y3, ks[2])
 
     y4 = _stage(system, y, dt, k3, y3)
-    k4 = fused_stage(y4, ks[3])
+    k4 = derivative(y4, ks[3])
 
     combine = getattr(system, "rk4_combine", None)
     if combine is not None:

@@ -50,22 +50,18 @@ __all__ = [
     "BackendUnavailable",
     "DEFAULT_LAUNCHER",
     "LAUNCHER_ENV",
-    "OVERLAP_ENV",
     "LauncherCapabilities",
     "LauncherInfo",
     "available_backends",
     "detect",
     "get_backend",
-    "overlap_requested",
     "probe",
     "requested",
     "select",
-    "select_overlap",
 ]
 
 LAUNCHER_ENV = "REPRO_LAUNCHER"
 DEFAULT_LAUNCHER = "thread"
-OVERLAP_ENV = "REPRO_OVERLAP"
 
 #: Registry, in deterministic priority order (fallback walks this left
 #: to right).  Values are the backend module paths; each module carries
@@ -96,18 +92,12 @@ class LauncherCapabilities:
     self_launch: bool
     #: hard rank-count ceiling, or None
     max_ranks: int | None = None
-    #: the backend implements real non-blocking Isend/Irecv/Waitall with
-    #: request-lifetime tracking — required by the split-phase
-    #: (REPRO_OVERLAP=1) exchange paths; backends without it fall back
-    #: to the blocking exchange schedule
-    nonblocking: bool = False
 
     def summary(self) -> str:
         bits = [
             "picklable fn" if self.picklable_fn else "closures ok",
             "cross-host" if self.cross_host else "in-box",
             "self-launch" if self.self_launch else "external runner",
-            "nonblocking" if self.nonblocking else "blocking-only",
         ]
         if self.max_ranks is not None:
             bits.append(f"<= {self.max_ranks} ranks")
@@ -173,49 +163,6 @@ def requested() -> str:
         )
         return DEFAULT_LAUNCHER
     return name
-
-
-def overlap_requested() -> bool:
-    """Split-phase overlap asked for via ``REPRO_OVERLAP=`` (default off).
-
-    Mirrors :func:`requested`: an unrecognised value warns once and
-    uses the default (``0``), never failing.
-    """
-    raw = os.environ.get(OVERLAP_ENV, "").strip().lower()
-    if raw in ("", "0", "false", "off", "no"):
-        return False
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    warnings.warn(
-        f"{OVERLAP_ENV}={raw!r} is not 0/1; overlap stays off",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return False
-
-
-def select_overlap(backend: str, overlap: bool | None = None) -> bool:
-    """Resolve the overlap request against a *resolved* backend name.
-
-    ``overlap=None`` reads ``REPRO_OVERLAP``.  When overlap is asked for
-    but the backend does not advertise ``nonblocking`` support, warns
-    and falls back to the blocking schedule — the same
-    warn-and-fall-back contract as :func:`select`, so an unsupported
-    combination is visible but never fatal.
-    """
-    if overlap is None:
-        overlap = overlap_requested()
-    if not overlap:
-        return False
-    if not probe(backend).capabilities.nonblocking:
-        warnings.warn(
-            f"launcher backend {backend!r} has no non-blocking support; "
-            f"falling back to the blocking exchange schedule",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return False
-    return True
 
 
 def select(name: str | None = None) -> str:

@@ -4,9 +4,8 @@ The solver's bitwise-reproducibility guarantee is *schedule
 independence*: every delivery order the transports can legally produce
 must yield the same floats.  The sanitizer can only audit the one
 schedule that ran — this shim makes the transports produce *different*
-legal schedules on demand, so tests can pin the overlap path bitwise
-identical across many of them (extending the fixed-delay
-``REPRO_SOCKMPI_LATENCY`` idea to seeded, per-message perturbation).
+legal schedules on demand, so tests can pin the blocking step bitwise
+identical across many of them.
 
 Two perturbations, both preserving MPI semantics:
 

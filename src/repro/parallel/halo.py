@@ -5,21 +5,17 @@ cartesian neighbours using ``Send`` / ``Irecv`` pairs, exactly the
 communication pattern of Section IV.  Fields are ``(nr, lth, lph)``
 local arrays; the radial axis travels whole (it is never decomposed).
 
-By default all fields travelling together are *packed* into one
-contiguous ``(nfields, nr, ...)`` buffer per neighbour per phase — one
-message instead of ``nfields`` — and handed to the communicator with
+All fields travelling together are *packed* into one contiguous
+``(nfields, nr, ...)`` buffer per neighbour per phase — one message
+instead of ``nfields`` — and handed to the communicator with
 ``move=True`` (the buffer is freshly allocated and never reused, so
 the thread backend skips its eager copy and the process backend
-memcpys straight into shared memory).  ``packed=False`` restores the
-legacy one-message-per-field path with its ``_TAG_STRIDE`` tag layout.
-Packing only changes *how* bytes travel: the values written into each
-halo slice are bit-identical on both paths.
+memcpys straight into shared memory).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,38 +28,17 @@ from repro.parallel.decomposition import HALO, Subdomain
 
 Array = np.ndarray
 
-# tag base per direction so concurrent exchanges of several fields can
-# share the communicator without cross-talk (legacy per-field path)
-_TAG_STRIDE = 8
+# tag per direction; the theta phase adds 4 so the two phases never
+# cross-talk
 _DIR_TAGS = {"north": 0, "south": 1, "west": 2, "east": 3}
-
-
-@dataclass
-class HaloHandle:
-    """In-flight state of a split-phase halo exchange.
-
-    Only the receives are posted at :meth:`HaloExchanger.exchange_begin`
-    time; every pack/send/unpack stays in
-    :meth:`HaloExchanger.exchange_finish` so the outgoing strips are
-    read after any interleaved overset combine has written the ring —
-    which is what makes the split schedule bitwise identical to the
-    blocking one.
-    """
-
-    fields: tuple[Array, ...]
-    tag_base: int
-    #: per-phase posted receives: phase index -> [(request, direction)]
-    recvs: dict[int, list[tuple]] = field(default_factory=dict)
-    finished: bool = False
 
 
 class HaloExchanger:
     """Exchanges halo strips of local fields over a cartesian topology."""
 
-    def __init__(self, cart: CartComm, sub: Subdomain, *, packed: bool = True):
+    def __init__(self, cart: CartComm, sub: Subdomain):
         self.cart = cart
         self.sub = sub
-        self.packed = packed
         self.nbr = cart.neighbours()
         # sanity: neighbour existence must match the subdomain's halo widths
         pairs = (
@@ -117,41 +92,10 @@ class HaloExchanger:
         ]
 
     @hot_path
-    def _phase_legacy(self, fields: Sequence[Float64["nr", "lth", "lph"]],
-                      directions, tag_base: int) -> None:
-        recvs: list[tuple] = []
-        for k, f in enumerate(fields):
-            for direction in directions:
-                nbr = self.nbr[direction]
-                if nbr == PROC_NULL:
-                    continue
-                tag = tag_base + _TAG_STRIDE * k + _DIR_TAGS[direction]
-                req = self.cart.comm.Irecv(source=nbr, tag=tag)
-                recvs.append((req, f, self._recv_slice(direction)))
-        for k, f in enumerate(fields):
-            for direction in directions:
-                nbr = self.nbr[direction]
-                if nbr == PROC_NULL:
-                    continue
-                # the message I send fills my neighbour's halo on the side
-                # facing me, so it carries the tag of the *opposite*
-                # direction as seen by the receiver
-                tag = tag_base + _TAG_STRIDE * k + _DIR_TAGS[self._opposite(direction)]
-                # the strip view goes to Send uncopied: the buffered send
-                # copies it (contiguously) anyway, and the process
-                # transport compacts non-contiguous payloads itself —
-                # an ascontiguousarray here would be a second full copy
-                self.cart.comm.Send(f[self._send_slice(direction)], dest=nbr, tag=tag)
-        for req, f, sl in recvs:
-            f[sl] = validate_payload(
-                req.wait(), f[sl].shape, f.dtype,
-                what="halo message",
-                plan="this rank's decomposition plan",
-            )
-
-    @hot_path
-    def _packed_post(self, directions, tag_base: int) -> list[tuple]:
-        """Post one packed receive per present neighbour in ``directions``."""
+    def _exchange_phase(self, fields: Sequence[Float64["nr", "lth", "lph"]],
+                        directions, tag_base: int) -> None:
+        """Post one receive per present neighbour in ``directions``,
+        pack+send the outgoing strips, then wait/validate/unpack."""
         recvs: list[tuple] = []
         for direction in directions:
             nbr = self.nbr[direction]
@@ -160,17 +104,13 @@ class HaloExchanger:
             tag = tag_base + _DIR_TAGS[direction]
             req = self.cart.comm.Irecv(source=nbr, tag=tag)
             recvs.append((req, direction))
-        return recvs
-
-    @hot_path
-    def _packed_complete(self, fields: Sequence[Float64["nr", "lth", "lph"]],
-                         directions, tag_base: int,
-                         recvs: list[tuple]) -> None:
-        """Pack+send the outgoing strips, then wait/validate/unpack."""
         for direction in directions:
             nbr = self.nbr[direction]
             if nbr == PROC_NULL:
                 continue
+            # the message I send fills my neighbour's halo on the side
+            # facing me, so it carries the tag of the *opposite*
+            # direction as seen by the receiver
             tag = tag_base + _DIR_TAGS[self._opposite(direction)]
             sl = self._send_slice(direction)
             strip_shape = fields[0][sl].shape
@@ -191,52 +131,6 @@ class HaloExchanger:
             for k, f in enumerate(fields):
                 f[sl] = payload[k]
 
-    def _phase_packed(self, fields: Sequence[Float64["nr", "lth", "lph"]],
-                      directions, tag_base: int) -> None:
-        recvs = self._packed_post(directions, tag_base)
-        self._packed_complete(fields, directions, tag_base, recvs)
-
-    def _phase(self, fields: Sequence[Float64["nr", "lth", "lph"]],
-               directions, tag_base: int) -> None:
-        if self.packed:
-            self._phase_packed(fields, directions, tag_base)
-        else:
-            self._phase_legacy(fields, directions, tag_base)
-
-    # ---- split-phase exchange (REPRO_OVERLAP=1) --------------------------------
-
-    def exchange_begin(self, fields: Sequence[Float64["nr", "lth", "lph"]],
-                       tag_base: int = 0) -> HaloHandle:
-        """Start an :meth:`exchange`: post every receive (both phases)
-        and return a handle.  Packing, sending and unpacking all stay in
-        :meth:`exchange_finish` — the phi-phase strips must be read
-        after any concurrent overset combine, and the theta-phase
-        strips after the phi-phase unpack (corners) — so the split only
-        moves the receive posting early.  Packed wire format only."""
-        if not self.packed:
-            raise ValueError(
-                "split-phase halo exchange requires packed=True "
-                "(the legacy wire format has no begin/finish split)"
-            )
-        handle = HaloHandle(fields=tuple(fields), tag_base=tag_base)
-        handle.recvs[0] = self._packed_post(("west", "east"), tag_base)
-        handle.recvs[1] = self._packed_post(("north", "south"), tag_base + 4)
-        return handle
-
-    def exchange_finish(self, handle: HaloHandle) -> None:
-        """Complete a begun exchange: phi phase (pack/send/unpack), then
-        theta phase with full-width strips, exactly the blocking
-        :meth:`exchange` order.  A handle finishes exactly once."""
-        if handle.finished:
-            raise ValueError("halo exchange handle already finished")
-        handle.finished = True
-        self._packed_complete(
-            handle.fields, ("west", "east"), handle.tag_base, handle.recvs[0]
-        )
-        self._packed_complete(
-            handle.fields, ("north", "south"), handle.tag_base + 4, handle.recvs[1]
-        )
-
     @contract
     def exchange(self, fields: Sequence[Float64["nr", "lth", "lph"]],
                  tag_base: int = 0) -> None:
@@ -244,24 +138,22 @@ class HaloExchanger:
 
         Two phases — phi direction, then theta with full-width strips —
         deliver edge and corner halo data in the paper's
-        ``MPI_SEND`` / ``MPI_IRECV`` nearest-neighbour pattern.  With
-        ``packed=True`` (the default) each phase sends one coalesced
-        buffer per neighbour; the legacy path sends one message per
-        field with ``_TAG_STRIDE``-spaced tags.
+        ``MPI_SEND`` / ``MPI_IRECV`` nearest-neighbour pattern, one
+        coalesced buffer per neighbour per phase.
         """
-        self._phase(fields, ("west", "east"), tag_base)
-        self._phase(fields, ("north", "south"), tag_base + 4)
+        self._exchange_phase(fields, ("west", "east"), tag_base)
+        self._exchange_phase(fields, ("north", "south"), tag_base + 4)
 
     @staticmethod
     def protocol_ops(dims: tuple[int, int], rank: int,
                      tag_base: int = 0) -> list[dict]:
-        """Wire protocol of one packed :meth:`exchange` for ``rank`` on a
+        """Wire protocol of one :meth:`exchange` for ``rank`` on a
         ``dims`` cartesian grid, without building a communicator.
 
         Returns the two phases in execution order, each as
         ``{"recvs": [(nbr, tag)], "sends": [(nbr, tag)]}`` with
         panel-local neighbour ranks — the receive posts come first in a
-        phase, the sends after, exactly like ``_phase_packed``.  Used by
+        phase, the sends after, exactly like ``_exchange_phase``.  Used by
         :func:`repro.checkers.schedule.dynamo_step_programs` to
         model-check the shipped schedule; the rank arithmetic mirrors
         :class:`~repro.parallel.cart.CartComm` (row-major, non-periodic).

@@ -60,7 +60,6 @@ LAUNCHER_NAME = "mpi4py"
 #: Registry capabilities record (see ``backends.LauncherCapabilities``).
 LAUNCHER_CAPABILITIES = dict(
     picklable_fn=False, cross_host=True, self_launch=False, max_ranks=None,
-    nonblocking=True,
 )
 
 

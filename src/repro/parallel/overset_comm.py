@@ -8,16 +8,11 @@ Every receptor ring point of one panel needs the four corners of its
 donor cell from the *other* panel group.  The communication plan —
 which donor rank sends which columns to which receptor rank — depends
 only on grid geometry and decomposition, so it is built once, on every
-rank identically (deterministic), and each exchange is a set of
-``(nr, m)`` column messages followed by the weighted combine (and, for
-vectors, the basis rotation) on the receptor.
-
-With ``packed=True`` (the default) every donor->receptor pair sends a
-single ``(nfields, nr, m)`` buffer per exchange instead of one message
-per field, and :meth:`OversetExchanger.exchange_state` batches *all*
-prognostic fields of a state into that one message (rotating the two
-vector triples on the receptor).  The per-field combine and rotation
-arithmetic is untouched, so packing is bitwise-neutral.
+rank identically (deterministic).  Each
+:meth:`OversetExchanger.exchange_state` sends every donor->receptor
+pair a single ``(nfields, nr, m)`` buffer holding *all* prognostic
+fields of a state, followed by the weighted combine (and, for the two
+vector triples, the basis rotation) on the receptor.
 """
 
 from __future__ import annotations
@@ -38,7 +33,8 @@ from repro.parallel.simmpi import CommunicatorBase
 
 Array = np.ndarray
 
-#: Tag block per (direction, field) pair under the world communicator.
+#: Tag block of the overset messages under the world communicator (one
+#: tag per direction).
 _TAG_BASE = 4096
 
 
@@ -54,24 +50,6 @@ class _ReceptorSide:
     #: donor panel-rank -> (corner slot array, local point array) in the
     #: deterministic message order
     sources: dict[int, tuple[Array, Array]] = field(default_factory=dict)
-
-
-@dataclass
-class OversetHandle:
-    """In-flight split-phase overset exchange (see
-    :meth:`OversetExchanger.exchange_state_begin`).
-
-    Owns the posted receive requests until
-    :meth:`OversetExchanger.exchange_state_finish` drains them; the
-    packed send buffers were moved to the communicator at begin time,
-    so nothing here aliases caller-owned memory.
-    """
-
-    fields: tuple[Array, ...]
-    rotate_groups: tuple[tuple[int, int, int], ...]
-    #: (request, slot_c, slot_j) per donor rank, in plan order
-    recvs: list[tuple]
-    finished: bool = False
 
 
 @dataclass
@@ -153,10 +131,6 @@ class OversetExchanger:
         0 for Yin, 1 for Yang — my panel.
     panel_rank:
         My rank within the panel group.
-    packed:
-        When true (default) each donor->receptor pair sends one
-        ``(nfields, nr, m)`` message per exchange; when false, the
-        legacy one-message-per-field wire format is used.
     """
 
     def __init__(
@@ -166,11 +140,8 @@ class OversetExchanger:
         world: CommunicatorBase,
         panel_index: int,
         panel_rank: int,
-        *,
-        packed: bool = True,
     ):
         self.world = world
-        self.packed = packed
         self.decomp = decomp
         self.panel_index = panel_index
         self.panel_rank = panel_rank
@@ -195,24 +166,6 @@ class OversetExchanger:
 
     # ---- exchanges ------------------------------------------------------------
 
-    @contract
-    def exchange(self, fields: Sequence[Float64["nr", "lth", "lph"]],
-                 *, vector: bool, tag0: int) -> None:
-        """One overset exchange of my panel's field(s), in place.
-
-        ``fields`` is ``(f,)`` for a scalar or the three spherical
-        components for a vector.  Both directions proceed concurrently:
-        this rank sends its donor columns for the opposite panel's ring
-        and fills its own ring points from the opposite panel's donors.
-        """
-        nf = len(fields)
-        if vector and nf != 3:
-            raise ValueError("vector exchange needs exactly 3 components")
-        if self.packed:
-            self._exchange_packed(fields, ((0, 1, 2),) if vector else (), tag0)
-        else:
-            self._exchange_legacy(fields, vector, tag0)
-
     def exchange_state(
         self,
         state,
@@ -225,29 +178,13 @@ class OversetExchanger:
         ``.arrays()``) or a plain sequence of fields.  ``rotate_groups``
         names the index triples that are spherical vector components and
         get the donor->receptor basis rotation; the defaults match the
-        prognostic layout ``(rho, fr, fth, fph, p, ar, ath, aph)``.  On
-        the packed path this is ONE message per donor->receptor pair for
-        the whole state; on the legacy path it decomposes into the
-        historical per-scalar / per-vector exchanges (8 tags apart).
+        prognostic layout ``(rho, fr, fth, fph, p, ar, ath, aph)``; pass
+        ``()`` for scalars only.  Both directions proceed concurrently:
+        this rank sends its donor columns for the opposite panel's ring
+        and fills its own ring points from the opposite panel's donors.
         """
         fields = tuple(state.arrays()) if hasattr(state, "arrays") else tuple(state)
-        if self.packed:
-            self._exchange_packed(fields, rotate_groups, tag0)
-            return
-        starts = {g[0]: g for g in rotate_groups}
-        consumed = {i for g in rotate_groups for i in g}
-        block = 0
-        for k in range(len(fields)):
-            if k in starts:
-                g = starts[k]
-                self._exchange_legacy(
-                    tuple(fields[i] for i in g), True, tag0 + 8 * block
-                )
-            elif k not in consumed:
-                self._exchange_legacy((fields[k],), False, tag0 + 8 * block)
-            else:
-                continue
-            block += 1
+        self._exchange_packed(fields, rotate_groups, tag0)
 
     def _post_plan(self):
         my_receptor_dir = self.panel_index
@@ -260,8 +197,8 @@ class OversetExchanger:
     @hot_path
     def _combine(self, receptor: _ReceptorSide, corner_vals: Array,
                  rotate_groups, fields: Sequence[Array]) -> None:
-        """Weighted combine + rotation + ring write-back (shared by both
-        wire formats — this is where bitwise equivalence lives)."""
+        """Weighted combine + rotation + ring write-back (this is where
+        bitwise equivalence with the serial interpolator lives)."""
         nf = len(fields)
         # bilinear combine, accumulated corner-by-corner in the same
         # (left-associated) order as the serial interpolator so the
@@ -286,7 +223,7 @@ class OversetExchanger:
             fields[k][:, i, j] = vals[k]
 
     def protocol_ops(self, tag0: int = 0) -> dict:
-        """Wire protocol of one packed :meth:`exchange_state` for this
+        """Wire protocol of one :meth:`exchange_state` for this
         rank, as ``{"recvs": [(src_world, tag)], "sends": [(dest_world,
         tag)]}`` in posting order.
 
@@ -359,95 +296,13 @@ class OversetExchanger:
 
         self._combine(receptor, corner_vals, rotate_groups, fields)
 
-    def _exchange_packed(self, fields: Sequence[Array], rotate_groups,
-                         tag0: int) -> None:
+    @contract
+    def _exchange_packed(self, fields: Sequence[Float64["nr", "lth", "lph"]],
+                         rotate_groups, tag0: int) -> None:
         """One ``(nfields, nr, m)`` message per donor->receptor pair.
 
-        The blocking exchange is literally begin-then-finish with no
-        compute in between, so the split-phase path (REPRO_OVERLAP=1)
-        is bitwise identical by construction.
+        Split in two so each packed send buffer is released (moved to
+        the communicator) before the receive side allocates its own.
         """
         recvs = self._packed_begin(fields, tag0)
         self._packed_finish(fields, rotate_groups, recvs)
-
-    # ---- split-phase state exchange (REPRO_OVERLAP=1) --------------------------
-
-    def exchange_state_begin(
-        self,
-        state,
-        tag0: int = 0,
-        rotate_groups: tuple[tuple[int, int, int], ...] = ((1, 2, 3), (5, 6, 7)),
-    ) -> OversetHandle:
-        """Start an :meth:`exchange_state`: post every receive, pack and
-        post every send, and return a handle — the ring write-back is
-        deferred to :meth:`exchange_state_finish`, so interior compute
-        can run while the messages are in flight.  Packed wire format
-        only (the split exists for the hot path)."""
-        if not self.packed:
-            raise ValueError(
-                "split-phase overset exchange requires packed=True "
-                "(the legacy wire format has no begin/finish split)"
-            )
-        fields = tuple(state.arrays()) if hasattr(state, "arrays") else tuple(state)
-        recvs = self._packed_begin(fields, tag0)
-        return OversetHandle(fields=fields, rotate_groups=tuple(rotate_groups),
-                             recvs=recvs)
-
-    def exchange_state_finish(self, handle: OversetHandle) -> None:
-        """Complete a begun exchange: wait on every receive, validate
-        each payload against the interpolation plan, and run the
-        combine/rotation/ring write-back.  Idempotence is refused — a
-        handle finishes exactly once."""
-        if handle.finished:
-            raise ValueError("overset exchange handle already finished")
-        handle.finished = True
-        self._packed_finish(handle.fields, handle.rotate_groups, handle.recvs)
-
-    @hot_path
-    def _exchange_legacy(self, fields: Sequence[Array], vector: bool,
-                         tag0: int) -> None:
-        """Historical wire format: one message per (pair, field)."""
-        nf = len(fields)
-        donor, receptor = self._post_plan()
-
-        # post receives for my ring data
-        recvs = []
-        for d, (slot_c, slot_j) in receptor.sources.items():
-            src = self._world_rank(1 - self.panel_index, d)
-            for k in range(nf):
-                tag = _TAG_BASE + tag0 + 4 * self.panel_index + k
-                recvs.append((self.world.Irecv(source=src, tag=tag), d, k, slot_c, slot_j))
-
-        # send my donor columns for the opposite ring
-        for r, (lith, liph) in donor.targets.items():
-            dest = self._world_rank(1 - self.panel_index, r)
-            for k in range(nf):
-                tag = _TAG_BASE + tag0 + 4 * (1 - self.panel_index) + k
-                # fancy indexing already yields a fresh contiguous array;
-                # wrapping it in ascontiguousarray would be a no-op call
-                self.world.Send(fields[k][:, lith, liph], dest=dest, tag=tag)
-
-        if receptor.n_loc == 0:
-            for req, *_ in recvs:
-                req.wait()
-            return
-
-        nr = fields[0].shape[0]
-        # scatter target for the received columns (sized per exchange)
-        corner_vals = np.zeros((nf, 4, nr, receptor.n_loc))  # repro: noqa-REP001
-        for req, d, k, slot_c, slot_j in recvs:
-            payload = validate_payload(
-                req.wait(), (nr, slot_c.size), fields[0].dtype,
-                what=f"overset message for field {k} from panel rank {d}",
-                plan="this rank's interpolation plan",
-            )
-            corner_vals[k, slot_c, :, slot_j] = payload.T
-
-        self._combine(receptor, corner_vals, ((0, 1, 2),) if vector else (),
-                      fields)
-
-    def exchange_scalar(self, f: Array, tag0: int = 0) -> None:
-        self.exchange((f,), vector=False, tag0=tag0)
-
-    def exchange_vector(self, comps: tuple[Array, Array, Array], tag0: int = 0) -> None:
-        self.exchange(comps, vector=True, tag0=tag0)

@@ -43,7 +43,7 @@ from repro.mhd.rk4 import rk4_step
 from repro.mhd.state import FIELD_NAMES, MHDState
 from repro.parallel.cart import create_cart
 from repro.parallel.decomposition import PanelDecomposition
-from repro.parallel.backends import get_backend, select, select_overlap
+from repro.parallel.backends import get_backend, select
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.overset_comm import OversetExchanger
 from repro.parallel.simmpi import CommunicatorBase, SimMPIError
@@ -58,22 +58,21 @@ def _restrict(global_field: Array, sl: tuple[slice, slice]) -> Array:
 class ParallelYinYangDynamo:
     """One rank's view of the parallel dynamo.
 
-    Construct inside a SimMPI program (either backend); ``world.size``
+    Construct inside a SimMPI program (any backend); ``world.size``
     must equal ``2 * pth * pph`` (the paper notes the total process
-    count is even).  ``packed=True`` (the default) coalesces halo and
-    overset traffic into one message per neighbour / per donor pair;
-    ``packed=False`` keeps the legacy one-message-per-field wire format.
-    Both produce bitwise-identical fields.
+    count is even).  Every stage is the paper's blocking schedule:
+    halo and overset traffic travel as one message per neighbour / per
+    donor pair, then the RHS runs.
     """
 
+    #: the step never overlaps communication with compute; kept because
+    #: ``benchmarks/e2e/workloads.py`` records it in its run metadata
+    overlap = False
+
     def __init__(self, world: CommunicatorBase, config: RunConfig, pth: int,
-                 pph: int, *, packed: bool = True, overlap: bool = False):
+                 pph: int):
         self.world = world
         self.config = config
-        self.packed = packed
-        # split-phase exchange needs the packed wire format (the legacy
-        # per-field path has no begin/finish split)
-        self.overlap = bool(overlap) and packed
         self.pth, self.pph = pth, pph
         nper = pth * pph
         if world.size != 2 * nper:
@@ -111,26 +110,17 @@ class ParallelYinYangDynamo:
         self.equations = PanelEquations(self.local_patch, c.params, omega_cart,
                                         backend=backend)
         self.wall_bc = WallBC(c.params, magnetic=c.magnetic_bc)
-        self.halo = HaloExchanger(self.cart, self.sub, packed=packed)
+        self.halo = HaloExchanger(self.cart, self.sub)
         self.overset = OversetExchanger(
             self.grid, self.decomp, world, self.panel_index,
-            self.panel_comm.rank, packed=packed,
+            self.panel_comm.rank,
         )
 
         self.time = 0.0
         self.step_count = 0
         self._last_dt = float("nan")
-        #: wall seconds per step phase (comm / interior / rim); the
-        #: blocking schedule books enforce under ``comm`` and the whole
-        #: RHS under ``rim`` so the accounting is comparable
-        self.phase_seconds = {"comm": 0.0, "interior": 0.0, "rim": 0.0}
-        self._interior, self._rims, self._early_wall, self._late_wall = (
-            self._split_boxes() if self.overlap else (None, None, None, None)
-        )
-        #: reused scratch for the overlapped rim passes: per-region
-        #: contiguous (input, derivative) states, keyed on the extended
-        #: box, instead of fresh allocations per stage
-        self._sub_pool: dict[tuple, tuple[MHDState, MHDState]] = {}
+        #: wall seconds per step phase; every ``enforce`` books ``comm``
+        self.phase_seconds = {"comm": 0.0}
 
         if c.subtract_base_rhs:
             self.equations.subtract_base(
@@ -185,120 +175,6 @@ class ParallelYinYangDynamo:
         self._serial_enforce(pair)
         return self._restrict_state(pair)
 
-    # ---- interior/rim split (REPRO_OVERLAP=1) ------------------------------------
-
-    def _split_boxes(self):
-        """Partition the local box into an interior and a rim cover.
-
-        Interior points are those whose RK4-stage derivative reads no
-        cell an *exchange* modifies — halo strips (width ``HALO`` where
-        a neighbour exists) and overset ring cells (local index 0 / -1
-        on panel-edge sides).  The compound stencils reach 2 cells, so
-        the interior insets 2 past each modified band (``HALO + 2``
-        inside a halo side, 3 at a panel edge).
-
-        The radial direction is never decomposed, so the wall planes
-        would be the only reason to shave radial shells off the
-        interior — instead the wall conditions, which are column-local
-        (:meth:`WallBC.apply_columns`), are applied *early* to exactly
-        the columns the interior evaluation reads (the interior box
-        extended by the stencil reach).  Those columns' radial
-        interiors are untouched by every exchange — halo unpack writes
-        the width-``HALO`` strips, overset combine the width-1 ring,
-        both at least 2 columns away — so the early wall values equal
-        the blocking schedule's post-exchange ones bitwise, and the
-        interior can span the full radius.  The remaining columns are
-        walled at ``finish``, after unpack/combine, in the blocking
-        order.  (Halo *send* strips lie inside the early-walled band,
-        so their wire bytes carry post-wall wall-plane rows where the
-        blocking schedule sends pre-wall ones — but receivers only ever
-        read those rows after rewalling them locally from the same
-        radial neighbours, so the difference never reaches a stencil.)
-
-        The rim is then a disjoint 4-slab angular cover of the
-        complement: theta slabs at full phi, then phi slabs for the
-        interior-theta band, all full-radius.
-
-        Returns ``(None, None, None, None)`` when an angular axis has
-        no interior — the overlapped step then runs the whole RHS after
-        ``finish`` (the split only moves receive posting early).
-        """
-        nr, lth, lph = self.local_patch.shape
-        s = self.sub
-        a_th = s.halo_n + 2 if s.halo_n > 0 else 3
-        b_th = lth - (s.halo_s + 2) if s.halo_s > 0 else lth - 3
-        a_ph = s.halo_w + 2 if s.halo_w > 0 else 3
-        b_ph = lph - (s.halo_e + 2) if s.halo_e > 0 else lph - 3
-        if b_th - a_th < 1 or b_ph - a_ph < 1:
-            return None, None, None, None
-        full_r, full_th, full_ph = slice(0, nr), slice(0, lth), slice(0, lph)
-        interior = (full_r, slice(a_th, b_th), slice(a_ph, b_ph))
-        rims = (
-            # theta slabs at full phi, full radius
-            (full_r, slice(0, a_th), full_ph),
-            (full_r, slice(b_th, lth), full_ph),
-            # phi slabs for the remaining interior-theta band
-            (full_r, slice(a_th, b_th), slice(0, a_ph)),
-            (full_r, slice(a_th, b_th), slice(b_ph, lph)),
-        )
-        # the columns the interior evaluation reads: interior box
-        # extended by the 2-cell stencil reach (never clips — the inset
-        # is at least 3 from every panel edge, HALO + 2 inside)
-        ew_th, ew_ph = slice(a_th - 2, b_th + 2), slice(a_ph - 2, b_ph + 2)
-        early_wall = (ew_th, ew_ph)
-        late_wall = tuple(
-            (th, ph) for th, ph in (
-                (slice(0, a_th - 2), full_ph),
-                (slice(b_th + 2, lth), full_ph),
-                (ew_th, slice(0, a_ph - 2)),
-                (ew_th, slice(b_ph + 2, lph)),
-            )
-            if th.stop > th.start and ph.stop > ph.start
-        )
-        return interior, rims, early_wall, late_wall
-
-    def _eval_region(self, state: MHDState, kept, out: MHDState) -> None:
-        """Evaluate the RHS on ``kept`` (a box of local index slices),
-        writing the kept cells of ``out`` in place.
-
-        The evaluation runs on the box extended by the stencil reach
-        (2 cells, clamped to the array): every kept cell's compound
-        stencil then reads exactly the values a full-array evaluation
-        would read — one-sided closures land only on extension cells
-        that kept cells never read, or on true array edges where they
-        match the full-array closure — so the kept cells come out
-        bitwise identical to a whole-patch :meth:`PanelEquations.rhs`.
-        """
-        shape = self.local_patch.shape
-        ext = tuple(
-            slice(max(0, sl.start - 2), min(n, sl.stop + 2))
-            for sl, n in zip(kept, shape)
-        )
-        eq = self.equations.region(*ext)
-        # contiguous copies into pooled buffers: strided views defeat
-        # the kernels' vector path (2x+ slower) and fresh allocations
-        # churn pages every stage; a memcpy of the same values into a
-        # reused buffer is bitwise free
-        key = tuple((e.start, e.stop) for e in ext)
-        bufs = self._sub_pool.get(key)
-        if bufs is None:
-            sub_shape = tuple(e.stop - e.start for e in ext)
-            bufs = (MHDState.zeros(sub_shape), MHDState.zeros(sub_shape))
-            self._sub_pool[key] = bufs
-        sub_state, sub_k = bufs
-        for buf, arr in zip(sub_state.arrays(), state.arrays()):
-            np.copyto(buf, arr[ext[0], ext[1], ext[2]])
-        # the sub-box evaluator carries the base RHS restricted to its
-        # box, so the rewritten cells come out base-subtracted like the
-        # whole-patch pass left the others
-        k = eq.rhs(sub_state, out=sub_k)
-        inner = tuple(
-            slice(sl.start - e.start, sl.stop - e.start)
-            for sl, e in zip(kept, ext)
-        )
-        for src, dst in zip(k.arrays(), out.arrays()):
-            dst[kept[0], kept[1], kept[2]] = src[inner[0], inner[1], inner[2]]
-
     # ---- TimeDependentSystem interface -------------------------------------------
 
     def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
@@ -309,81 +185,14 @@ class ParallelYinYangDynamo:
     def enforce(self, state: MHDState) -> None:
         """Overset exchange, halo exchange, wall conditions — in that
         order, so ring updates reach neighbouring halos before the local
-        stencils read them."""
-        if self.packed:
-            # all 8 prognostic fields in ONE message per donor pair
-            self.overset.exchange_state(state, tag0=0)
-        else:
-            self.overset.exchange_scalar(state.rho, tag0=0)
-            self.overset.exchange_scalar(state.p, tag0=8)
-            self.overset.exchange_vector(state.f, tag0=16)
-            self.overset.exchange_vector(state.a, tag0=24)
+        stencils read them.  Wall seconds accrue to
+        ``phase_seconds["comm"]``."""
+        t0 = _time.perf_counter()
+        # all 8 prognostic fields in ONE message per donor pair
+        self.overset.exchange_state(state, tag0=0)
         self.halo.exchange(tuple(state.arrays()))
         self.wall_bc.apply(state)
-
-    def enforce_rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
-        """One enforce-then-derivative stage (:func:`rk4_step` hook);
-        ``out`` is offered derivative storage, as in :meth:`rhs`.
-
-        Blocking (default): exactly ``enforce`` then ``rhs``, with the
-        enforce booked as ``comm`` time and the RHS as ``rim`` time.
-        With overlap on: begin both exchanges and wall the
-        interior-read columns early, run the full-radius interior RHS
-        while messages fly, finish the exchanges (overset combine →
-        halo unpack → wall BC on the remaining columns, the blocking
-        order), then the rim RHS.  Both paths leave ``state`` and
-        return derivatives bitwise identical to the blocking schedule
-        (see :meth:`_split_boxes` for the argument).
-        """
-        pc = _time.perf_counter
-        phases = self.phase_seconds
-        if not self.overlap:
-            t0 = pc()
-            self.enforce(state)
-            t1 = pc()
-            k = self.rhs(state, out)
-            phases["comm"] += t1 - t0
-            phases["rim"] += pc() - t1
-            return k
-
-        t0 = pc()
-        oh = self.overset.exchange_state_begin(state, tag0=0)
-        hh = self.halo.exchange_begin(tuple(state.arrays()))
-        if self._early_wall is not None:
-            # wall the columns the interior pass reads, now that the
-            # overset donors have packed their pre-wall values — their
-            # radial interiors are exchange-untouched, so these are the
-            # blocking schedule's post-exchange wall values already
-            self.wall_bc.apply_columns(state, *self._early_wall)
-        t1 = pc()
-        k: MHDState | None = None
-        if self._interior is not None:
-            # evaluate the WHOLE patch while messages fly: interior
-            # cells read no exchange-written cell (walls on their
-            # columns are already applied), so they come out final;
-            # rim cells come out stale and are recomputed after
-            # ``finish``.  This costs exactly the blocking RHS — all
-            # of it hideable — and needs no sub-box copy for the big
-            # region.
-            k = self.equations.rhs(state, out=out)
-        t2 = pc()
-        self.overset.exchange_state_finish(oh)
-        self.halo.exchange_finish(hh)
-        if self._early_wall is None:
-            self.wall_bc.apply(state)
-        else:
-            for th, ph in self._late_wall:
-                self.wall_bc.apply_columns(state, th, ph)
-        t3 = pc()
-        if k is None:
-            k = self.equations.rhs(state, out=out)
-        else:
-            for box in self._rims:
-                self._eval_region(state, box, k)
-        phases["comm"] += (t1 - t0) + (t3 - t2)
-        phases["interior"] += t2 - t1
-        phases["rim"] += pc() - t3
-        return k
+        self.phase_seconds["comm"] += _time.perf_counter() - t0
 
     @staticmethod
     def axpy(state: MHDState, a: float, k: MHDState) -> MHDState:
@@ -630,16 +439,9 @@ class ParallelRunResult:
     #: resolved launcher backend (registry name) the world ran on —
     #: after any warn-and-fallback, so it reports what actually launched
     launcher_backend: str = "thread"
-    #: whether the split-phase overlapped schedule actually ran (after
-    #: the warn-and-fallback of :func:`repro.parallel.backends.select_overlap`)
-    overlap: bool = False
-    #: per-world-rank wall seconds in exchange begin/finish (blocking:
-    #: the whole enforce)
+    #: per-world-rank wall seconds inside ``enforce`` (the exchanges
+    #: plus wall conditions)
     rank_comm_seconds: list[float] = field(default_factory=list)
-    #: per-world-rank wall seconds in the interior RHS pass (blocking: 0)
-    rank_interior_seconds: list[float] = field(default_factory=list)
-    #: per-world-rank wall seconds in the rim RHS pass (blocking: whole RHS)
-    rank_rim_seconds: list[float] = field(default_factory=list)
     #: global-state :class:`~repro.checkers.fingerprint.Fingerprint`
     #: timeline (rank 0 only; empty unless ``fingerprint_every`` was set)
     fingerprints: list = field(default_factory=list)
@@ -678,10 +480,9 @@ class _GatherFingerprints(StepObserver):
 
 
 def _parallel_program(world: CommunicatorBase, config: RunConfig, pth: int,
-                      pph: int, n_steps: int, packed: bool = True,
-                      restart=None, checkpoint_dir=None,
+                      pph: int, n_steps: int, restart=None,
+                      checkpoint_dir=None,
                       checkpoint_every: int | None = None,
-                      overlap: bool = False,
                       fingerprint_every: int | None = None):
     """One rank's whole program: build, (restore,) run, gather.
 
@@ -690,8 +491,7 @@ def _parallel_program(world: CommunicatorBase, config: RunConfig, pth: int,
     """
     from repro.engine import CheckpointObserver
 
-    solver = ParallelYinYangDynamo(world, config, pth, pph, packed=packed,
-                                   overlap=overlap)
+    solver = ParallelYinYangDynamo(world, config, pth, pph)
     timer = TimerObserver()
     observers: list = [timer]
     if checkpoint_every:
@@ -706,11 +506,7 @@ def _parallel_program(world: CommunicatorBase, config: RunConfig, pth: int,
         observers.append(prints)
     result = solver.run(n_steps, observers=tuple(observers))
     rank_seconds = world.allgather(float(timer.total_seconds))
-    rank_phases = world.allgather((
-        float(timer.comm_seconds),
-        float(timer.interior_seconds),
-        float(timer.rim_seconds),
-    ))
+    rank_comm = world.allgather(float(timer.comm_seconds))
     gathered = solver.gather_state()
     if world.rank == 0:
         return ParallelRunResult(
@@ -718,10 +514,7 @@ def _parallel_program(world: CommunicatorBase, config: RunConfig, pth: int,
             dt_history=result.dt_history,
             rank_step_seconds=[float(s) for s in rank_seconds],
             kernel_backend=solver.equations.kernel_backend,
-            overlap=solver.overlap,
-            rank_comm_seconds=[p[0] for p in rank_phases],
-            rank_interior_seconds=[p[1] for p in rank_phases],
-            rank_rim_seconds=[p[2] for p in rank_phases],
+            rank_comm_seconds=[float(s) for s in rank_comm],
             fingerprints=prints.fingerprints if prints is not None else [],
         )
     return None
@@ -735,8 +528,6 @@ def run_parallel_dynamo(
     *,
     timeout: float = 300.0,
     backend: str | None = "thread",
-    packed: bool = True,
-    overlap: bool | None = None,
     restart=None,
     checkpoint_dir=None,
     checkpoint_every: int | None = None,
@@ -755,12 +546,6 @@ def run_parallel_dynamo(
     at a different rank count; ``checkpoint_every``/``checkpoint_dir``
     save per-rank archives during the run.
 
-    ``overlap=None`` reads ``REPRO_OVERLAP`` via
-    :func:`~repro.parallel.backends.select_overlap`; overlap on a
-    backend without non-blocking support warns and runs blocking.  The
-    schedule that actually ran is recorded in
-    ``ParallelRunResult.overlap``.
-
     ``verify_schedule=True`` model-checks the step's communication
     protocol for this exact layout *before* launching any rank —
     :func:`repro.checkers.schedule.check_deadlock_free` over the lifted
@@ -768,7 +553,6 @@ def run_parallel_dynamo(
     blocked-cycle witness instead of hanging into the timeout guard.
     """
     resolved = select(backend)
-    use_overlap = select_overlap(resolved, overlap) and packed
     if verify_schedule:
         from repro.checkers.schedule import (
             check_deadlock_free,
@@ -777,7 +561,6 @@ def run_parallel_dynamo(
 
         programs = dynamo_step_programs(
             config.nth, config.nph, pth, pph, nr=config.nr,
-            overlap=use_overlap,
         )
         verdict = check_deadlock_free(programs, semantics="rendezvous")
         if verdict.witness is not None:
@@ -787,9 +570,8 @@ def run_parallel_dynamo(
             )
     launcher = get_backend(resolved)
     results = launcher.run(
-        2 * pth * pph, _parallel_program, config, pth, pph, n_steps, packed,
-        restart, checkpoint_dir, checkpoint_every, use_overlap,
-        fingerprint_every,
+        2 * pth * pph, _parallel_program, config, pth, pph, n_steps,
+        restart, checkpoint_dir, checkpoint_every, fingerprint_every,
         timeout=timeout,
     )
     out = results[0]

@@ -88,7 +88,6 @@ LAUNCHER_NAME = "process"
 #: Registry capabilities record (see ``backends.LauncherCapabilities``).
 LAUNCHER_CAPABILITIES = dict(
     picklable_fn=True, cross_host=False, self_launch=True, max_ranks=None,
-    nonblocking=True,
 )
 
 

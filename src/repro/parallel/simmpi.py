@@ -80,7 +80,6 @@ LAUNCHER_NAME = "thread"
 #: Registry capabilities record (see ``backends.LauncherCapabilities``).
 LAUNCHER_CAPABILITIES = dict(
     picklable_fn=False, cross_host=False, self_launch=True, max_ranks=None,
-    nonblocking=True,
 )
 
 

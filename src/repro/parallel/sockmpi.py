@@ -45,13 +45,6 @@ Environment
     processes instead.
 ``REPRO_SIMMPI_TIMEOUT``
     Blocking-operation guard, shared with the other backends.
-``REPRO_SOCKMPI_LATENCY``
-    Float seconds of *injected per-frame forwarding latency* at the
-    coordinator (default 0: off).  A test/benchmark shim: on a loopback
-    world every frame arrives in microseconds, so this simulates the
-    cross-host RTTs the overlap machinery exists to hide — the router
-    sleeps before forwarding each rank-to-rank frame, delaying delivery
-    without blocking the sender.  Control traffic is not delayed.
 """
 
 from __future__ import annotations
@@ -105,7 +98,6 @@ LAUNCHER_NAME = "socket"
 #: Registry capabilities record (see ``backends.LauncherCapabilities``).
 LAUNCHER_CAPABILITIES = dict(
     picklable_fn=True, cross_host=True, self_launch=True, max_ranks=None,
-    nonblocking=True,
 )
 
 
@@ -132,16 +124,6 @@ def open_launcher(**opts):
 class SockWorkerError(SimMPIError):
     """A socket-world rank failed with an exception that could not be
     re-raised directly (unpicklable); carries the formatted traceback."""
-
-
-def _latency_from_env() -> float:
-    """``REPRO_SOCKMPI_LATENCY`` (seconds per forwarded frame), or 0."""
-    raw = os.environ.get("REPRO_SOCKMPI_LATENCY", "")
-    try:
-        value = float(raw)
-    except ValueError:
-        return 0.0
-    return value if value > 0 else 0.0
 
 
 def _parse_address(address: str) -> tuple[str, int]:
@@ -454,13 +436,9 @@ class _Router:
         self.result_q: _queue.Queue = _queue.Queue()
         self.abort_reason: str | None = None
         self._abort_lock = threading.Lock()
-        #: injected per-frame forwarding delay (REPRO_SOCKMPI_LATENCY,
-        #: seconds) — simulates network RTT on loopback worlds; the
-        #: sleep happens in this reader thread, so senders never block
-        self.latency = _latency_from_env()
         #: seeded schedule perturbation (REPRO_SCHED_FUZZ): random
-        #: jitter before each forwarded frame, same idea as the fixed
-        #: latency above but per-message
+        #: jitter before each forwarded frame; the sleep happens in this
+        #: reader thread, so senders never block
         self.fuzz = ScheduleFuzzer.from_env()
         #: rank -> blocked-op dict from STUCK notices (ranks whose
         #: blocking op timed out); merged into the world wait-for
@@ -495,8 +473,6 @@ class _Router:
                     raise ProtocolViolation(
                         f"rank {rank} addressed nonexistent rank {frame.dest}"
                     )
-                if self.latency > 0.0:
-                    _time.sleep(self.latency)
                 if self.fuzz is not None:
                     self.fuzz.sleep_jitter()
                 dst = self.socks[frame.dest]

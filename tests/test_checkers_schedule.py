@@ -1,4 +1,4 @@
-"""The schedule model checker and the REP010-REP012 concurrency rules.
+"""The schedule model checker and the REP010-REP011 concurrency rules.
 
 Three layers: the protocol IR checker on hand-built Op programs (known
 deadlocks must produce a cycle witness, known-safe protocols a proof),
@@ -234,38 +234,6 @@ def overlapped(comm, buf):
         assert codes(self.WAITALL_LIST, rules=["REP011"]) == ["REP011"]
 
 
-class TestRep012:
-    DISCARDED = """
-def step(halo, state):
-    halo.exchange_begin(state)
-"""
-
-    UNREAD = """
-def step(halo, state):
-    h = halo.exchange_state_begin(state)
-    return state
-"""
-
-    PAIRED = """
-def step(halo, state):
-    h = halo.exchange_begin(state)
-    halo.exchange_finish(h)
-"""
-
-    def test_discarded_begin(self):
-        vs = lint(self.DISCARDED, rules=["REP012"])
-        assert [v.rule for v in vs] == ["REP012"]
-        assert "discarded" in vs[0].message
-
-    def test_unread_handle(self):
-        vs = lint(self.UNREAD, rules=["REP012"])
-        assert [v.rule for v in vs] == ["REP012"]
-        assert "never read" in vs[0].message
-
-    def test_paired_clean(self):
-        assert codes(self.PAIRED, rules=["REP012"]) == []
-
-
 # --------------------------------------------------------------------------
 # hypothesis: random programs with known verdicts
 # --------------------------------------------------------------------------
@@ -332,14 +300,13 @@ LAYOUTS = [(1, 1), (1, 2), (2, 2)]
 
 class TestDynamoStepProtocol:
     @pytest.mark.parametrize("pth,pph", LAYOUTS)
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_step_protocol_deadlock_free(self, pth, pph, overlap):
-        programs = dynamo_step_programs(14, 42, pth, pph, overlap=overlap)
+    def test_step_protocol_deadlock_free(self, pth, pph):
+        programs = dynamo_step_programs(14, 42, pth, pph)
         assert len(programs) == 2 * pth * pph
         for sem in ("buffered", "rendezvous"):
             v = check_deadlock_free(programs, semantics=sem)
             assert v.ok, (
-                f"{pth}x{pph} overlap={overlap} {sem}: "
+                f"{pth}x{pph} {sem}: "
                 + (v.witness.describe() if v.witness else "state cap hit")
             )
 
@@ -358,4 +325,4 @@ class TestDynamoStepProtocol:
 
 
 def test_rule_catalogue_named():
-    assert set(SCHEDULE_RULES) == {"REP010", "REP011", "REP012"}
+    assert set(SCHEDULE_RULES) == {"REP010", "REP011"}

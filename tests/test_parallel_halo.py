@@ -7,7 +7,7 @@ from repro.parallel.halo import HaloExchanger
 from repro.parallel.simmpi import SimMPI
 
 
-def exchange_world(nth, nph, pth, pph, nr=3, nfields=1, seed=0, packed=True):
+def exchange_world(nth, nph, pth, pph, nr=3, nfields=1, seed=0):
     """Run a halo exchange of a deterministic global field and return
     each rank's local array after the exchange."""
     decomp = PanelDecomposition(nth, nph, pth, pph)
@@ -17,7 +17,7 @@ def exchange_world(nth, nph, pth, pph, nr=3, nfields=1, seed=0, packed=True):
     def prog(comm):
         cart = create_cart(comm, (pth, pph))
         sub = decomp.subdomain(comm.rank)
-        ex = HaloExchanger(cart, sub, packed=packed)
+        ex = HaloExchanger(cart, sub)
         locs = []
         for g in global_fields:
             sl = sub.local_extent_global()
@@ -69,56 +69,25 @@ class TestExchangeCorrectness:
         np.testing.assert_array_equal(results[0][0], globals_[0])
 
 
-class TestPackedVsLegacy:
-    def test_legacy_path_bitwise_identical(self):
-        """The ``_TAG_STRIDE`` per-field wire format and the packed
-        one-buffer-per-neighbour format fill identical halo values."""
-        _, _, packed = exchange_world(14, 40, 2, 2, nfields=3, packed=True)
-        _, _, legacy = exchange_world(14, 40, 2, 2, nfields=3, packed=False)
-        for locs_p, locs_l in zip(packed, legacy):
-            for lp, ll in zip(locs_p, locs_l):
-                np.testing.assert_array_equal(lp, ll)
-
-    @pytest.mark.parametrize("packed,factor", [(True, 1), (False, 3)])
-    def test_message_counts(self, packed, factor):
+class TestPacking:
+    def test_message_counts(self):
         """Packing coalesces the per-field messages: nfields=3 costs
-        exactly as many messages as nfields=1."""
+        exactly one message per neighbour, like nfields=1."""
         decomp = PanelDecomposition(14, 40, 2, 2)
 
         def prog(comm):
             cart = create_cart(comm, (2, 2))
             sub = decomp.subdomain(comm.rank)
-            ex = HaloExchanger(cart, sub, packed=packed)
+            ex = HaloExchanger(cart, sub)
             fields = [np.zeros((3, *sub.local_shape)) for _ in range(3)]
             before = comm.messages_sent
             ex.exchange(fields)
-            # one message per neighbour per exchange on the packed path
-            # (each neighbour sits in exactly one of the two phases)
+            # each neighbour sits in exactly one of the two phases
             n_neighbours = sum(1 for direction in ex.nbr.values() if direction >= 0)
             return comm.messages_sent - before, n_neighbours
 
-        for sent, per_field in SimMPI.run(4, prog):
-            assert sent == factor * per_field
-
-    def test_bytes_accounting_packed_equals_legacy(self):
-        """Coalescing moves the same bytes — only the message count
-        drops — so the perf model's volume formula holds on both paths."""
-        decomp = PanelDecomposition(14, 40, 2, 2)
-
-        def prog(comm):
-            cart = create_cart(comm, (2, 2))
-            sub = decomp.subdomain(comm.rank)
-            totals = []
-            for packed in (True, False):
-                ex = HaloExchanger(cart, sub, packed=packed)
-                fields = [np.zeros((3, *sub.local_shape)) for _ in range(2)]
-                before = comm.bytes_sent
-                ex.exchange(fields, tag_base=0 if packed else 64)
-                totals.append(comm.bytes_sent - before)
-            return totals[0], totals[1], ex.bytes_per_exchange(3, 2)
-
-        for packed_bytes, legacy_bytes, predicted in SimMPI.run(4, prog):
-            assert packed_bytes == legacy_bytes == predicted
+        for sent, n_neighbours in SimMPI.run(4, prog):
+            assert sent == n_neighbours
 
 
 class TestConsistencyChecks:

@@ -1,8 +1,7 @@
 """Non-blocking point-to-point parity across launcher backends.
 
-The split-phase exchange (REPRO_OVERLAP=1) rests on every backend
-implementing the same ``Isend``/``Irecv``/``Request.wait``/``Waitall``
-contract: requests may be waited out of posting order, ``move=True``
+The halo and overset exchanges rest on every backend implementing the
+same ``Isend``/``Irecv``/``Request.wait``/``Waitall`` contract: requests may be waited out of posting order, ``move=True``
 payloads hand the buffer to the comm layer, and the sanitizer's
 :class:`~repro.checkers.sanitize.ProtocolRecorder` tracks each request
 from post to wait.  These tests pin the contract on the thread backend
@@ -11,14 +10,16 @@ backend against the thread backend's results with a picklable
 module-level program.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkers.sanitize import ProtocolRecorder
-from repro.parallel.backends import available_backends, get_backend, probe
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.backends import BACKENDS, available_backends, get_backend, probe
+from repro.parallel.simmpi import CommunicatorBase, SimMPI
 
 
 @st.composite
@@ -134,8 +135,19 @@ class TestCrossBackendParity:
         assert got == expected
 
     def test_every_backend_advertises_nonblocking(self):
-        for name in ("thread", "process", "socket", "mpi4py"):
-            assert probe(name).capabilities.nonblocking, name
+        """Isend/Irecv/Waitall are part of the required communicator
+        contract: every registered backend's communicator provides them."""
+        for name, module in BACKENDS.items():
+            mod = importlib.import_module(module)
+            comms = [
+                obj for obj in vars(mod).values()
+                if isinstance(obj, type) and issubclass(obj, CommunicatorBase)
+                and obj.__module__ == mod.__name__
+            ]
+            assert comms, name
+            for comm in comms:
+                for method in ("Isend", "Irecv", "Waitall"):
+                    assert callable(getattr(comm, method, None)), (name, method)
 
 
 class TestRequestLifetimeTracking:

@@ -23,10 +23,7 @@ def run_overset_world(grid, pth, pph, build_fields, vector=False):
         fields = build_fields(panel)
         sl = sub.local_extent_global()
         local = tuple(np.ascontiguousarray(f[:, sl[0], sl[1]]) for f in fields)
-        if vector:
-            ex.exchange_vector(local)
-        else:
-            ex.exchange_scalar(local[0])
+        ex.exchange_state(local, rotate_groups=((0, 1, 2),) if vector else ())
         return world.rank, panel, sub, local
 
     return SimMPI.run(2 * nper, prog)

@@ -119,7 +119,7 @@ class TestPlanDeterminism:
     @pytest.mark.parametrize("layout", [(1, 3), (3, 1)])
     def test_round_trip_matches_serial(self, grid, layout):
         """Asymmetric-layout exchange reproduces the serial interpolator
-        bitwise on the owned points (packed path, the default)."""
+        bitwise on the owned points."""
         pth, pph = layout
         decomp = PanelDecomposition(grid.yin.nth, grid.yin.nph, pth, pph)
         nper = decomp.nranks
@@ -135,7 +135,7 @@ class TestPlanDeterminism:
             ex = OversetExchanger(grid, decomp, world, panel_index, pc.rank)
             sl = sub.local_extent_global()
             local = np.ascontiguousarray(f[panel][:, sl[0], sl[1]])
-            ex.exchange_scalar(local)
+            ex.exchange_state((local,), rotate_groups=())
             return panel, sub, local
 
         for panel, sub, local in SimMPI.run(2 * nper, prog):
@@ -148,8 +148,8 @@ class TestPlanDeterminism:
 
 class TestStateBatchedExchange:
     def test_exchange_state_matches_separate_exchanges(self, grid):
-        """One packed 8-field message per pair == the four historical
-        scalar/vector exchanges, bit for bit."""
+        """One packed 8-field message per pair == the serial
+        interpolator's four scalar/vector applications, bit for bit."""
         rng = np.random.default_rng(7)
         nfields = 8
         fields = {

@@ -16,7 +16,7 @@ import pytest
 from repro.checkers.sanitize import ProtocolViolation
 from repro.grids.yinyang import YinYangGrid
 from repro.parallel.cart import create_cart
-from repro.parallel.decomposition import PanelDecomposition
+from repro.parallel.decomposition import HALO, PanelDecomposition
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.overset_comm import OversetExchanger
 from repro.parallel.procmpi import ProcMPI, _ProcRuntime
@@ -25,16 +25,15 @@ from repro.parallel.simmpi import SimMPI
 _DECOMP12 = PanelDecomposition(14, 40, 1, 2)
 
 
-def _halo_corrupt(comm, packed, payload_builder):
+def _halo_corrupt(comm, payload_builder):
     """Rank 1 skips the exchange and sends a mis-shaped message carrying
-    the tag rank 0's east-halo receive expects (phase 1, east => tag 3
-    on both wire formats)."""
+    the tag rank 0's east-halo receive expects (phase 1, east => tag 3)."""
     cart = create_cart(comm, (1, 2))
     sub = _DECOMP12.subdomain(comm.rank)
     if comm.rank == 1:
         comm.Send(payload_builder(sub), dest=0, tag=3)
         return None
-    ex = HaloExchanger(cart, sub, packed=packed)
+    ex = HaloExchanger(cart, sub)
     fields = [np.zeros((3,) + sub.local_shape)]
     ex.exchange(fields)
     return None
@@ -44,30 +43,30 @@ def _bad_shape(sub):
     return np.zeros((2, 2))
 
 
-def _bad_dtype(sub):
-    # the exact strip geometry rank 0 expects for a packed east recv,
-    # but in float32
+def _east_strip(sub, nfields=1, dtype=np.float64):
+    # the strip geometry rank 0 expects for its east recv
     oth, _ = sub.owned_local()
-    n_oth = oth.stop - oth.start
-    from repro.parallel.decomposition import HALO
-
-    return np.zeros((1, 3, n_oth, HALO), dtype=np.float32)
+    return np.zeros((nfields, 3, oth.stop - oth.start, HALO), dtype=dtype)
 
 
-def _halo_corrupt_packed(comm):
-    return _halo_corrupt(comm, True, _bad_shape)
+def _halo_corrupt_shape(comm):
+    return _halo_corrupt(comm, _bad_shape)
 
 
-def _halo_corrupt_legacy(comm):
-    return _halo_corrupt(comm, False, _bad_shape)
+def _halo_corrupt_nfields(comm):
+    # the right strip, but two fields where the exchange packs one
+    return _halo_corrupt(comm, lambda sub: _east_strip(sub, nfields=2))
 
 
 def _halo_corrupt_dtype(comm):
-    return _halo_corrupt(comm, True, _bad_dtype)
+    return _halo_corrupt(comm, lambda sub: _east_strip(sub, dtype=np.float32))
+
+
+_HALO_SHAPE_CORRUPTIONS = [_halo_corrupt_shape, _halo_corrupt_nfields]
 
 
 class TestHaloPlanValidation:
-    @pytest.mark.parametrize("prog", [_halo_corrupt_packed, _halo_corrupt_legacy])
+    @pytest.mark.parametrize("prog", _HALO_SHAPE_CORRUPTIONS)
     def test_thread_backend_rejects_wrong_shape(self, prog):
         with pytest.raises(ProtocolViolation, match="plan expects"):
             SimMPI.run(2, prog)
@@ -76,7 +75,7 @@ class TestHaloPlanValidation:
         with pytest.raises(ProtocolViolation, match="float32"):
             SimMPI.run(2, _halo_corrupt_dtype)
 
-    @pytest.mark.parametrize("prog", [_halo_corrupt_packed, _halo_corrupt_legacy])
+    @pytest.mark.parametrize("prog", _HALO_SHAPE_CORRUPTIONS)
     def test_process_backend_rejects_wrong_shape(self, prog):
         with pytest.raises(ProtocolViolation, match="plan expects"):
             ProcMPI.run(2, prog, timeout=120.0)
@@ -105,10 +104,9 @@ def _grid():
     return _GRID
 
 
-def _overset_corrupt(world, packed):
+def _overset_corrupt(world):
     """World of 2 (one rank per panel).  The Yang rank (1) sends garbage
-    under the tag the Yin receptor expects (tag0=0 => 4096 on both wire
-    formats for the first field)."""
+    under the tag the Yin receptor expects (tag0=0 => 4096)."""
     grid = _grid()
     decomp = PanelDecomposition(grid.yin.nth, grid.yin.nph, 1, 1)
     panel_index = 0 if world.rank < 1 else 1
@@ -116,31 +114,20 @@ def _overset_corrupt(world, packed):
     if world.rank == 1:
         world.Send(np.zeros((2, 2)), dest=0, tag=4096)
         return None
-    ex = OversetExchanger(grid, decomp, world, panel_index, 0, packed=packed)
+    ex = OversetExchanger(grid, decomp, world, panel_index, 0)
     f = np.zeros((5, grid.yin.nth, grid.yin.nph))
-    ex.exchange_scalar(f)
+    ex.exchange_state((f,), rotate_groups=())
     return None
 
 
-def _overset_corrupt_packed(world):
-    return _overset_corrupt(world, True)
-
-
-def _overset_corrupt_legacy(world):
-    return _overset_corrupt(world, False)
-
-
 class TestOversetPlanValidation:
-    @pytest.mark.parametrize(
-        "prog", [_overset_corrupt_packed, _overset_corrupt_legacy]
-    )
-    def test_thread_backend_rejects_wrong_shape(self, prog):
+    def test_thread_backend_rejects_wrong_shape(self):
         with pytest.raises(ProtocolViolation, match="plan expects"):
-            SimMPI.run(2, prog)
+            SimMPI.run(2, _overset_corrupt)
 
     def test_process_backend_rejects_wrong_shape(self):
         with pytest.raises(ProtocolViolation, match="plan expects"):
-            ProcMPI.run(2, _overset_corrupt_packed, timeout=120.0)
+            ProcMPI.run(2, _overset_corrupt, timeout=120.0)
 
     def test_clean_overset_exchange_unaffected(self):
         grid = _grid()
@@ -151,7 +138,7 @@ class TestOversetPlanValidation:
             world.split(color=panel_index, key=world.rank)
             ex = OversetExchanger(grid, decomp, world, panel_index, 0)
             f = np.zeros((5, grid.yin.nth, grid.yin.nph))
-            ex.exchange_scalar(f)
+            ex.exchange_state((f,), rotate_groups=())
             return True
 
         assert SimMPI.run(2, prog) == [True, True]

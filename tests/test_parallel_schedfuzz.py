@@ -4,7 +4,7 @@ The fuzzer shim makes the transports produce *different* legal
 delivery schedules; the solver's guarantee is that every one of them
 yields bitwise-identical floats.  Covered here: the env-var switch,
 the mailbox hold/flush machinery (per-stream FIFO must survive
-arbitrary hold decisions), and the headline property — the overlapped
+arbitrary hold decisions), and the headline property — the parallel
 step pinned bitwise against an unfuzzed baseline across 20 seeds on
 the thread backend, plus a fuzzed socket loopback world and a fuzzed
 run under the full sanitizer.
@@ -149,8 +149,8 @@ def config():
 
 @pytest.fixture(scope="module")
 def baseline(config):
-    """Unfuzzed overlapped run on the thread backend."""
-    return run_parallel_dynamo(config, 1, 2, 2, overlap=True)
+    """Unfuzzed run on the thread backend."""
+    return run_parallel_dynamo(config, 1, 2, 2)
 
 
 def _assert_bitwise_equal(result, reference, label):
@@ -161,22 +161,14 @@ def _assert_bitwise_equal(result, reference, label):
                 a, b, err_msg=f"{label}: {panel} {name}")
 
 
-class TestOverlapBitwiseUnderFuzz:
+class TestBitwiseUnderFuzz:
     @pytest.mark.parametrize("seed", range(1, 21))
-    def test_thread_overlap_bitwise_across_seeds(self, monkeypatch, config,
-                                                 baseline, seed):
+    def test_thread_bitwise_across_seeds(self, monkeypatch, config,
+                                         baseline, seed):
         monkeypatch.setenv(FUZZ_ENV, str(seed))
         monkeypatch.setenv(FUZZ_DELAY_ENV, "0.0005")
-        fuzzed = run_parallel_dynamo(config, 1, 2, 2, overlap=True)
-        assert fuzzed.overlap
+        fuzzed = run_parallel_dynamo(config, 1, 2, 2)
         _assert_bitwise_equal(fuzzed, baseline, f"seed {seed}")
-
-    def test_blocking_schedule_also_bitwise(self, monkeypatch, config,
-                                            baseline):
-        monkeypatch.setenv(FUZZ_ENV, "31337")
-        monkeypatch.setenv(FUZZ_DELAY_ENV, "0.0005")
-        fuzzed = run_parallel_dynamo(config, 1, 2, 2, overlap=False)
-        _assert_bitwise_equal(fuzzed, baseline, "blocking seed 31337")
 
     def test_fuzzed_run_under_sanitizer_is_clean(self, monkeypatch, config,
                                                  baseline):
@@ -185,7 +177,7 @@ class TestOverlapBitwiseUnderFuzz:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv(FUZZ_ENV, "42")
         monkeypatch.setenv(FUZZ_DELAY_ENV, "0.0005")
-        fuzzed = run_parallel_dynamo(config, 1, 2, 2, overlap=True)
+        fuzzed = run_parallel_dynamo(config, 1, 2, 2)
         _assert_bitwise_equal(fuzzed, baseline, "sanitized seed 42")
 
 

@@ -78,8 +78,8 @@ class TestGather:
 
 
 class TestBackendsAndWireFormats:
-    """The packed wire format (default) and the process backend must
-    both reproduce the serial solver bitwise."""
+    """The process backend and the checked runtimes must reproduce the
+    serial solver bitwise."""
 
     def test_process_backend_matches_serial(self, config, serial_run):
         par = run_parallel_dynamo(config, 1, 2, 4, backend="process",
@@ -87,22 +87,6 @@ class TestBackendsAndWireFormats:
         assert par.steps == 4
         assert_bitwise_equal(par.states, serial_run.state,
                              context="process backend vs serial")
-
-    def test_legacy_wire_format_matches_packed(self, config, serial_run):
-        """Same layout, both wire formats: the fields must agree to the
-        bit — packing is pure message coalescing."""
-        packed = run_parallel_dynamo(config, 2, 1, 4, packed=True)
-        legacy = run_parallel_dynamo(config, 2, 1, 4, packed=False)
-        assert_bitwise_equal(packed.states, legacy.states,
-                             context="packed vs legacy wire format")
-        # and both stay within the seed suite's serial tolerance
-        for panel in (Panel.YIN, Panel.YANG):
-            for (name, a), b in zip(
-                legacy.states[panel].named_arrays(),
-                serial_run.state[panel].arrays(),
-            ):
-                scale = max(1.0, float(np.abs(b).max()))
-                assert np.abs(a - b).max() < 1e-12 * scale, (panel, name)
 
     def test_contracts_and_sanitizers_bitwise_smoke(self):
         """A 2-rank dynamo under ``REPRO_CONTRACTS=1 REPRO_SANITIZE=1``
@@ -150,7 +134,7 @@ class TestBackendsAndWireFormats:
         assert all(s > 0.0 for s in par.rank_step_seconds)
 
 
-def _traced_growth_program(world, config, overlap, warmup, steps):
+def _traced_growth_program(world, config, warmup, steps):
     """One rank: step past warm-up, then report how much the process's
     traced memory grew over ``steps`` more steps (rank 0 reads the
     shared tracemalloc counter between barriers)."""
@@ -159,7 +143,7 @@ def _traced_growth_program(world, config, overlap, warmup, steps):
 
     from repro.parallel.parallel_solver import ParallelYinYangDynamo
 
-    solver = ParallelYinYangDynamo(world, config, 1, 1, overlap=overlap)
+    solver = ParallelYinYangDynamo(world, config, 1, 1)
     for _ in range(warmup):
         solver.step()
     world.barrier()
@@ -178,8 +162,7 @@ class TestStepMemoryIsFlat:
     ``_field_cache`` used to pin every step's fresh stage state:
     +8 arrays per step per rank, forever)."""
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_thirty_steps_retain_nothing(self, config, overlap):
+    def test_thirty_steps_retain_nothing(self, config):
         import tracemalloc
 
         from repro.parallel.backends import get_backend
@@ -187,7 +170,7 @@ class TestStepMemoryIsFlat:
         tracemalloc.start()
         try:
             results = get_backend("thread").run(
-                2, _traced_growth_program, config, overlap, 5, 30, timeout=300.0,
+                2, _traced_growth_program, config, 5, 30, timeout=300.0,
             )
         finally:
             tracemalloc.stop()
@@ -196,3 +179,40 @@ class TestStepMemoryIsFlat:
         # the leak was 30 states per rank; allow well under one
         assert growth < one_state // 2, f"traced memory grew {growth} B in 30 steps"
         assert "_field_cache" not in attrs
+
+
+def _contract_program(world, config, steps):
+    from repro.parallel.parallel_solver import ParallelYinYangDynamo
+
+    solver = ParallelYinYangDynamo(world, config, 1, 1)
+    for _ in range(steps):
+        solver.step()
+    hooks = {
+        "enforce": solver.enforce,
+        "rhs": solver.rhs,
+        "overset.exchange_state": solver.overset.exchange_state,
+        "halo.exchange": solver.halo.exchange,
+        "wall_bc.apply": solver.wall_bc.apply,
+        "equations.rhs": solver.equations.rhs,
+    }
+    return dict(solver.phase_seconds), {k: callable(v) for k, v in hooks.items()}
+
+
+class TestBenchmarkContract:
+    def test_e2e_benchmark_contract(self, config):
+        """``benchmarks/e2e/workloads.py`` is frozen and reads these
+        solver attributes: ``overlap`` for its run metadata,
+        ``phase_seconds["comm"]`` for ``parallel.comm_frac``, and it
+        wraps the six hooks below on the instance for its spans.
+        Renaming or dropping any of them fails the benchmark run."""
+        from repro.parallel.backends import get_backend
+        from repro.parallel.parallel_solver import ParallelYinYangDynamo
+
+        assert ParallelYinYangDynamo.overlap is False
+        results = get_backend("thread").run(
+            2, _contract_program, config, 2, timeout=300.0,
+        )
+        for phases, hooks in results:
+            assert set(phases) == {"comm"}
+            assert phases["comm"] > 0.0
+            assert all(hooks.values()), hooks
