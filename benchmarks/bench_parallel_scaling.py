@@ -8,8 +8,8 @@ on 2, 4 and 8 ranks, on every *detected* self-launching backend of the
 launcher registry (``thread`` — one thread per rank, GIL-serialised;
 ``process`` — one OS process per rank over shared-memory buffers;
 ``socket`` — one OS process per rank over loopback TCP frames).
-Backends needing an external runner (``mpi4py``) are skipped and the
-skip is recorded in the JSON.
+Unavailable backends (and any that would need an external runner) are
+skipped and the skip is recorded in the JSON.
 
 Methodology: launch cost (thread setup, process spawn + interpreter
 boot) is *excluded* — each rank times its own step loop with
@@ -57,7 +57,7 @@ def benchable_backends() -> tuple[list[str], dict[str, str]]:
         if not info.available:
             skipped[info.name] = f"unavailable: {info.detail}"
         elif not info.capabilities.self_launch:
-            skipped[info.name] = "needs an external runner (mpirun)"
+            skipped[info.name] = "needs an external runner"
         else:
             names.append(info.name)
     return names, skipped

@@ -21,7 +21,7 @@ REP014 — *unordered floating-point reduction.*
     association that need not match the serial/tiled association.  The
     same applies to reducing per-rank gathered data anywhere in a
     parallel module — the blessed pattern is the explicit rank-order
-    left fold of :meth:`repro.parallel.simmpi.CommunicatorBase.
+    left fold of :meth:`repro.parallel.simmpi.Communicator.
     allreduce` (``acc = parts[0]; for p in parts[1:]: acc = op(acc,
     p)``), which this rule deliberately does not match.
 
@@ -323,7 +323,7 @@ def _check_rep014(tree: ast.AST, path: str) -> list[Violation]:
                     "REP014", path, node.lineno, node.col_offset,
                     f"{name} over gathered per-rank data — reduce in rank "
                     f"order with the left fold idiom of "
-                    f"CommunicatorBase.allreduce instead",
+                    f"Communicator.allreduce instead",
                 ))
     return out
 

@@ -100,7 +100,6 @@ _TRANSPORT_MODULES = (
     "repro.parallel.simmpi",
     "repro.parallel.procmpi",
     "repro.parallel.sockmpi",
-    "repro.parallel.mpimpi",
     "repro.parallel.frames",
     "repro.parallel.transport",
     "repro.parallel.tracing",

@@ -573,7 +573,7 @@ class _Lifter:
                                  tag=self._tag(_call_arg(call, 2, "tag"), ANY),
                                  handle=h, line=line))
         if meth == "Sendrecv":
-            # CommunicatorBase.Sendrecv posts the Irecv, then Send, then waits
+            # Communicator.Sendrecv posts the Irecv, then Send, then waits
             h = self._new_handle()
             r = self._emit(Op("irecv",
                               peer=self._peer(_call_arg(call, 2, "source"),

@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(fn=_cmd_kernels)
     sub.add_parser(
         "backends",
-        help="list detected launcher backends (thread/process/socket/mpi4py), "
+        help="list detected launcher backends (thread/process/socket), "
              "their capabilities and the active REPRO_LAUNCHER selection",
     ).set_defaults(fn=_cmd_backends)
 

@@ -6,19 +6,20 @@ a 2-D process array within each panel, halo exchange uses
 ``MPI_SEND / MPI_IRECV`` between the four neighbours, and the Yin<->Yang
 overset interpolation communicates under the world communicator.
 
-mpi4py is unavailable in this environment, so the same program structure
-runs on interchangeable SimMPI backends (:mod:`repro.parallel.backends`):
-the thread-based :class:`~repro.parallel.simmpi.SimMPI` runtime
-(in-process mailboxes, the correctness substrate) or the process-based
-:class:`~repro.parallel.procmpi.ProcMPI` runtime (one OS process per
-rank over ``multiprocessing.shared_memory`` — real multi-core
-execution).  The parallel solver is verified to reproduce the serial
-yycore fields exactly on both.
+The same program structure runs on one message layer: the
+:class:`~repro.parallel.simmpi.Communicator`, over a per-rank runtime
+chosen from the launcher registry (:mod:`repro.parallel.backends`) —
+``thread`` (:class:`~repro.parallel.simmpi.SimMPI`: in-process
+mailboxes, the correctness substrate), ``process``
+(:class:`~repro.parallel.procmpi.ProcMPI`: one OS process per rank over
+a ``multiprocessing.shared_memory`` arena — real multi-core execution)
+or ``socket`` (:class:`~repro.parallel.sockmpi.SockMPI`: ranks joined
+over TCP, possibly across hosts).  The backends differ only in how one
+tagged message moves between two ranks; the parallel solver is verified
+to reproduce the serial yycore fields exactly on all three.
 """
 
-from repro.parallel.simmpi import (
-    SimMPI, Communicator, CommunicatorBase, ANY_SOURCE, ANY_TAG,
-)
+from repro.parallel.simmpi import SimMPI, Communicator, ANY_SOURCE, ANY_TAG
 from repro.parallel.backends import available_backends, get_backend
 from repro.parallel.cart import CartComm, create_cart
 from repro.parallel.decomposition import PanelDecomposition, Subdomain, split_indices
@@ -32,7 +33,6 @@ __all__ = [
     "SimMPI",
     "ProcMPI",
     "Communicator",
-    "CommunicatorBase",
     "available_backends",
     "get_backend",
     "ANY_SOURCE",

@@ -5,21 +5,19 @@ factory in :mod:`repro.fd.backend`, which copied the same idiom): every
 backend is a module exposing a small registration contract —
 
 ``LAUNCHER_NAME``
-    the registry name (``thread`` / ``process`` / ``socket`` /
-    ``mpi4py``);
+    the registry name (``thread`` / ``process`` / ``socket``);
 ``launcher_detect() -> (available, detail)``
     a *cheap* runtime availability probe (find the module, touch shared
     memory, ...) whose detail string doubles as the why/why-not column
     of ``repro-paper backends``;
 ``LAUNCHER_CAPABILITIES``
     a capabilities record: does the rank function have to be picklable,
-    can ranks span hosts, can the launcher spawn its own workers, is
-    there a rank-count ceiling;
+    can ranks span hosts, can the launcher spawn its own workers;
 ``open_launcher(**opts) -> launcher``
     the launcher itself — an object with
     ``run(nprocs, fn, *args, timeout=..., **kwargs) -> [per-rank results]``
     where ``fn(comm, ...)`` receives a
-    :class:`~repro.parallel.simmpi.CommunicatorBase` communicator.
+    :class:`~repro.parallel.simmpi.Communicator`.
 
 The solver, the :class:`~repro.parallel.halo.HaloExchanger` and the
 :class:`~repro.parallel.overset_comm.OversetExchanger` are written
@@ -70,7 +68,6 @@ BACKENDS: dict[str, str] = {
     "thread": "repro.parallel.simmpi",
     "process": "repro.parallel.procmpi",
     "socket": "repro.parallel.sockmpi",
-    "mpi4py": "repro.parallel.mpimpi",
 }
 
 
@@ -88,20 +85,15 @@ class LauncherCapabilities:
     #: ranks may live on other hosts (network transport)
     cross_host: bool
     #: the launcher can spawn its own local workers (False = needs an
-    #: external runner such as ``mpirun`` or ``repro-paper worker``)
+    #: external runner); read by the frozen ``benchmarks/e2e`` probes
     self_launch: bool
-    #: hard rank-count ceiling, or None
-    max_ranks: int | None = None
 
     def summary(self) -> str:
-        bits = [
+        return ", ".join([
             "picklable fn" if self.picklable_fn else "closures ok",
             "cross-host" if self.cross_host else "in-box",
             "self-launch" if self.self_launch else "external runner",
-        ]
-        if self.max_ranks is not None:
-            bits.append(f"<= {self.max_ranks} ranks")
-        return ", ".join(bits)
+        ])
 
 
 @dataclass(frozen=True)

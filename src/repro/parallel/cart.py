@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.parallel.simmpi import CommunicatorBase
+from repro.parallel.simmpi import Communicator
 from repro.utils.validation import require
 
 #: Marker for "no neighbour in that direction" (MPI_PROC_NULL).
@@ -26,7 +26,7 @@ class CartComm:
     default ordering.
     """
 
-    comm: CommunicatorBase
+    comm: Communicator
     dims: tuple[int, int]
     periods: tuple[bool, bool] = (False, False)
 
@@ -88,7 +88,7 @@ class CartComm:
 
 
 def create_cart(
-    comm: CommunicatorBase, dims: tuple[int, int], periods: tuple[bool, bool] = (False, False)
+    comm: Communicator, dims: tuple[int, int], periods: tuple[bool, bool] = (False, False)
 ) -> CartComm:
     """Build a cartesian topology over ``comm`` (collective, like MPI)."""
     comm.barrier()  # mirror the collective nature of MPI_CART_CREATE

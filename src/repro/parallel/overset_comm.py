@@ -29,7 +29,7 @@ from repro.parallel.frames import validate_payload
 from repro.grids.interpolation import OversetInterpolator
 from repro.grids.yinyang import YinYangGrid
 from repro.parallel.decomposition import PanelDecomposition, Subdomain
-from repro.parallel.simmpi import CommunicatorBase
+from repro.parallel.simmpi import Communicator
 
 Array = np.ndarray
 
@@ -137,7 +137,7 @@ class OversetExchanger:
         self,
         grid: YinYangGrid,
         decomp: PanelDecomposition,
-        world: CommunicatorBase,
+        world: Communicator,
         panel_index: int,
         panel_rank: int,
     ):

@@ -46,7 +46,7 @@ from repro.parallel.decomposition import PanelDecomposition
 from repro.parallel.backends import get_backend, select
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.overset_comm import OversetExchanger
-from repro.parallel.simmpi import CommunicatorBase, SimMPIError
+from repro.parallel.simmpi import Communicator, SimMPIError
 
 Array = np.ndarray
 
@@ -69,7 +69,7 @@ class ParallelYinYangDynamo:
     #: ``benchmarks/e2e/workloads.py`` records it in its run metadata
     overlap = False
 
-    def __init__(self, world: CommunicatorBase, config: RunConfig, pth: int,
+    def __init__(self, world: Communicator, config: RunConfig, pth: int,
                  pph: int):
         self.world = world
         self.config = config
@@ -479,7 +479,7 @@ class _GatherFingerprints(StepObserver):
             self._capture(event.driver)
 
 
-def _parallel_program(world: CommunicatorBase, config: RunConfig, pth: int,
+def _parallel_program(world: Communicator, config: RunConfig, pth: int,
                       pph: int, n_steps: int, restart=None,
                       checkpoint_dir=None,
                       checkpoint_every: int | None = None,

@@ -1,4 +1,4 @@
-"""SimMPI — an MPI look-alike with interchangeable rank backends.
+"""SimMPI — an MPI look-alike with interchangeable rank runtimes.
 
 Runs an SPMD rank function on one *worker per rank* and provides the
 MPI subset yycore needs (paper Section IV):
@@ -15,8 +15,9 @@ MPI subset yycore needs (paper Section IV):
 * communicator management: ``split`` (the paper's ``MPI_COMM_SPLIT``
   dividing the world into the Yin and Yang panel groups) and ``dup``.
 
-Two backends share this API (select with ``SimMPI.run(..., backend=)``
-or :func:`repro.parallel.backends.get_backend`):
+There is one :class:`Communicator`; what differs per backend is only
+its *runtime* — how one tagged message gets from rank a to rank b.
+Select a backend with :func:`repro.parallel.backends.get_backend`:
 
 * ``"thread"`` (this module) — one thread per rank, in-process
   mailboxes.  A *correctness* substrate: the GIL serialises
@@ -25,6 +26,8 @@ or :func:`repro.parallel.backends.get_backend`):
   rank; message payloads travel through a ``multiprocessing.
   shared_memory`` arena by memcpy, so the ranks genuinely use
   multiple cores.
+* ``"socket"`` (:mod:`repro.parallel.sockmpi`) — ranks joined over TCP
+  through a coordinator, possibly on other hosts.
 
 Semantics notes
 ---------------
@@ -37,8 +40,7 @@ Semantics notes
   never to touch the buffer again, so the thread backend may enqueue
   the array itself instead of paying the eager copy.  Use it only for
   freshly packed buffers (the halo/overset packed paths qualify); the
-  process backend always copies into shared memory and ignores the
-  flag.
+  process and socket runtimes copy anyway and ignore the flag.
 
 Environment
 -----------
@@ -78,9 +80,7 @@ ANY_TAG = -1
 LAUNCHER_NAME = "thread"
 
 #: Registry capabilities record (see ``backends.LauncherCapabilities``).
-LAUNCHER_CAPABILITIES = dict(
-    picklable_fn=False, cross_host=False, self_launch=True, max_ranks=None,
-)
+LAUNCHER_CAPABILITIES = dict(picklable_fn=False, cross_host=False, self_launch=True)
 
 
 def launcher_detect() -> tuple[bool, str]:
@@ -221,8 +221,8 @@ class _MailBox:
                     )
 
 
-class _Runtime:
-    """Shared state of one SimMPI world: mailboxes and collective slots."""
+class _World:
+    """Shared state of one thread world: mailboxes and collective slots."""
 
     def __init__(self, nprocs: int, timeout: float):
         self.nprocs = nprocs
@@ -248,8 +248,8 @@ class _Runtime:
         #: schedule-perturbation fuzzer (REPRO_SCHED_FUZZ)
         self.fuzz = ScheduleFuzzer.from_env()
 
-    def mailbox(self, comm_id: str, rank: int) -> _MailBox:
-        key = (comm_id, rank)
+    def mailbox(self, chan: str, world_rank: int) -> _MailBox:
+        key = (chan, world_rank)
         with self._boxes_lock:
             if key not in self._boxes:
                 self._boxes[key] = _MailBox(self.fuzz)
@@ -320,18 +320,17 @@ class Request:
     """Handle for a non-blocking operation.
 
     Every request must be completed exactly once with :meth:`wait` (or
-    its mpi4py-style alias :meth:`Wait`, or through
-    ``CommunicatorBase.Waitall``) — the protocol recorder notes the
-    request at creation and clears it at completion, so a handle that
-    is dropped without a wait shows up as an ``unwaited request`` in
-    the sanitized finalize report.
+    its MPI-style alias :meth:`Wait`, or through
+    ``Communicator.Waitall``) — the protocol recorder notes the request
+    at creation and clears it at completion, so a handle that is
+    dropped without a wait shows up as an ``unwaited request`` in the
+    sanitized finalize report.
     """
 
     _complete: Callable[[], Any]
     _done: bool = False
     _value: Any = None
-    #: recorder lifetime tracking (None when the sanitizer is off or the
-    #: backend has no recorder, e.g. mpi4py)
+    #: recorder lifetime tracking (None when the sanitizer is off)
     _recorder: Any = None
     _token: int | None = None
 
@@ -344,7 +343,7 @@ class Request:
         return self._value
 
     def Wait(self) -> Any:
-        """mpi4py-style alias of :meth:`wait`."""
+        """MPI-style alias of :meth:`wait`."""
         return self.wait()
 
     def test(self) -> bool:
@@ -359,26 +358,35 @@ def _copy_payload(data: Any) -> Any:
     return data
 
 
-class CommunicatorBase:
-    """The backend-independent communicator contract.
+class Communicator:
+    """An MPI-style communicator over a subset of world ranks.
 
-    Subclasses provide the transport — ``Send`` / ``Recv`` / ``Irecv``,
-    the collective rendezvous ``_exchange(seq, payload) -> {rank:
-    payload}`` and the child factory ``_make_child(comm_id, members)``.
-    Everything above that (the collectives, ``split``/``dup``, the
-    non-blocking wrappers) is shared here, so both the thread and the
-    process backend run the *same* collective algorithms: reductions
-    associate in rank order, which keeps results bit-reproducible and
-    identical across backends.
+    The one communicator of every backend.  Point-to-point, the
+    collectives, ``split``/``dup`` and the non-blocking wrappers are
+    written here once, over a per-rank *runtime* that supplies the
+    transport:
+
+    ``send(dest_world, chan, src_rank, tag, payload, move)``
+        post one message to a world rank on a channel (the comm id);
+    ``recv(chan, source, tag) -> (source_rank, matched_tag, payload)``
+        block until a matching message arrives, raising
+        :class:`DeadlockError` past the guard;
+    ``wfg_enter(op)`` / ``wfg_exit()``
+        wait-for registration, which a timeout turns into the
+        diagnosis;
+    ``exchange`` / ``gather`` / ``bcast`` ``(comm, seq, ...)``
+        the collective rendezvous;
+    ``isolate(data)`` / ``hb_clock()`` / ``recorder``.
+
+    The thread runtime is :class:`_ThreadRuntime` below; the process
+    and socket runtimes share :class:`repro.parallel.transport.
+    RankRuntime`.  Reductions associate in rank order on every runtime,
+    which keeps results bit-reproducible and identical across backends.
     """
 
-    id: str
-    members: list[int]
-    rank: int
-    world_rank: int
-    size: int
-
-    def _init_base(self, comm_id: str, members: Sequence[int], world_rank: int) -> None:
+    def __init__(self, runtime: Any, comm_id: str, members: Sequence[int],
+                 world_rank: int):
+        self._rt = runtime
         self.id = comm_id
         self.members = list(members)
         try:
@@ -394,8 +402,8 @@ class CommunicatorBase:
         # communication accounting (used by tests and the perf model hooks)
         self.bytes_sent = 0
         self.messages_sent = 0
-        #: protocol recorder (REPRO_SANITIZE=1), installed by the backend
-        self._recorder: ProtocolRecorder | None = None
+        #: protocol recorder (REPRO_SANITIZE=1), owned by the runtime
+        self._recorder: ProtocolRecorder | None = runtime.recorder
 
     def _note_collective(self, op: str) -> None:
         if self._recorder is not None:
@@ -406,30 +414,54 @@ class CommunicatorBase:
         is armed (thread backend under ``REPRO_SANITIZE=1``); ``None``
         otherwise.  Consumed by the tracing wrapper so message records
         carry their causal timestamps."""
-        return None
+        return self._rt.hb_clock()
 
-    # ---- transport hooks (backend-specific) -----------------------------------
+    # ---- point-to-point -------------------------------------------------------
 
     def Send(self, data: Any, dest: int, tag: int = 0, *, move: bool = False) -> None:
-        raise NotImplementedError
+        """Blocking standard send (buffered: the runtime copies or
+        serialises the payload and returns).
+
+        With ``move=True`` the caller promises never to reuse the buffer:
+        the thread runtime enqueues it without the eager copy, and the
+        sanitizer freezes it so a write-after-move raises.
+        """
+        if not 0 <= dest < self.size:
+            raise SimMPIError(f"dest {dest} out of range for comm of size {self.size}")
+        if isinstance(data, np.ndarray):
+            self.bytes_sent += data.nbytes
+        self.messages_sent += 1
+        if self._recorder is not None:
+            self._recorder.note_send(self.id, self.rank, dest, tag)
+            if move:
+                freeze_payload(data)
+        self._rt.send(self.members[dest], self.id, self.rank, tag, data, move)
 
     def Recv(self, buf: np.ndarray | None = None, source: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> Any:
-        raise NotImplementedError
-
-    def _exchange(self, seq: int, payload: Any) -> dict[int, Any]:
-        raise NotImplementedError
-
-    def _make_child(self, comm_id: str, members: Sequence[int]) -> CommunicatorBase:
-        raise NotImplementedError
-
-    def _isolate(self, data: Any) -> Any:
-        """Decouple a collective payload from the caller's buffer.  The
-        thread backend must copy (shared address space); transports that
-        serialise anyway override this with the identity."""
-        return _copy_payload(data)
-
-    # ---- point-to-point wrappers ----------------------------------------------
+        """Blocking receive.  With an ndarray ``buf`` the payload is copied
+        into it (the upper-case buffer convention); the payload is returned
+        either way."""
+        rt = self._rt
+        rt.wfg_enter(PendingOp(
+            rank=self.world_rank, kind="Recv", comm=self.id,
+            source=self.members[source] if source >= 0 else None,
+            tag=None if tag == ANY_TAG else tag,
+        ))
+        try:
+            src, matched_tag, payload = rt.recv(self.id, source, tag)
+        finally:
+            rt.wfg_exit()
+        if self._recorder is not None:
+            self._recorder.note_recv(self.id, src, self.rank, matched_tag)
+        if buf is not None:
+            arr = np.asarray(payload)
+            if buf.shape != arr.shape:
+                raise SimMPIError(
+                    f"Recv buffer shape {buf.shape} != message shape {arr.shape}"
+                )
+            buf[...] = arr
+        return payload
 
     def _make_request(self, kind: str, complete: Callable[[], Any]) -> Request:
         """Build a :class:`Request`, registering its lifetime with the
@@ -468,27 +500,29 @@ class CommunicatorBase:
         self._seq += 1
         return s
 
+    def _exchange(self, seq: int, payload: Any) -> dict[int, Any]:
+        """The rendezvous every collective is built on: deposit
+        ``payload`` and return every member's, keyed by comm rank."""
+        return self._rt.exchange(self, seq, payload)
+
     def barrier(self) -> None:
         self._note_collective("barrier")
         self._exchange(self._next_seq(), None)
 
     def bcast(self, data: Any, root: int = 0) -> Any:
         self._note_collective("bcast")
-        all_data = self._exchange(
-            self._next_seq(), self._isolate(data) if self.rank == root else None
+        return self._rt.bcast(
+            self, self._next_seq(),
+            self._rt.isolate(data) if self.rank == root else None, root,
         )
-        return all_data[root]
 
     def gather(self, data: Any, root: int = 0) -> list[Any] | None:
         self._note_collective("gather")
-        all_data = self._exchange(self._next_seq(), self._isolate(data))
-        if self.rank == root:
-            return [all_data[r] for r in range(self.size)]
-        return None
+        return self._rt.gather(self, self._next_seq(), self._rt.isolate(data), root)
 
     def allgather(self, data: Any) -> list[Any]:
         self._note_collective("allgather")
-        all_data = self._exchange(self._next_seq(), self._isolate(data))
+        all_data = self._exchange(self._next_seq(), self._rt.isolate(data))
         return [all_data[r] for r in range(self.size)]
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None) -> Any:
@@ -513,13 +547,13 @@ class CommunicatorBase:
         if len(data) != self.size:
             raise SimMPIError(f"alltoall needs {self.size} items, got {len(data)}")
         matrix = self._exchange(
-            self._next_seq(), [self._isolate(d) for d in data]
+            self._next_seq(), [self._rt.isolate(d) for d in data]
         )
         return [matrix[r][self.rank] for r in range(self.size)]
 
     # ---- communicator management ----------------------------------------------
 
-    def split(self, color: int, key: int | None = None) -> CommunicatorBase:
+    def split(self, color: int, key: int | None = None) -> Communicator:
         """``MPI_COMM_SPLIT``: partition members by ``color``, order each
         group by ``(key, old rank)``.  The paper splits the world into the
         Yin group and the Yang group this way."""
@@ -534,116 +568,99 @@ class CommunicatorBase:
         )
         members = [self.members[r] for r in group]
         child_id = f"{self.id}/s{self._child_count}c{color}"
-        return self._make_child(child_id, members)
+        return Communicator(self._rt, child_id, members, self.world_rank)
 
-    def dup(self) -> CommunicatorBase:
+    def dup(self) -> Communicator:
         self._note_collective("dup")
         self.barrier()
         self._child_count += 1
-        return self._make_child(f"{self.id}/d{self._child_count}", self.members)
+        return Communicator(
+            self._rt, f"{self.id}/d{self._child_count}", self.members,
+            self.world_rank,
+        )
 
 
-class Communicator(CommunicatorBase):
-    """The thread-backend communicator over a subset of world ranks."""
+# ---- thread runtime ------------------------------------------------------------------
 
-    def __init__(self, runtime: _Runtime, comm_id: str, members: Sequence[int],
-                 world_rank: int):
-        self._runtime = runtime
-        self._init_base(comm_id, members, world_rank)
-        self._recorder = runtime.recorder
 
-    # ---- point-to-point -------------------------------------------------------
+class _ThreadRuntime:
+    """One thread rank's view of its :class:`_World`: in-process
+    mailboxes, happens-before clocks and in-flight windows, ``move=``
+    zero-copy, and the in-memory collective rendezvous."""
 
-    def Send(self, data: Any, dest: int, tag: int = 0, *, move: bool = False) -> None:
-        """Blocking standard send (buffered: copies and returns).
+    def __init__(self, world: _World, world_rank: int):
+        self.world = world
+        self.world_rank = world_rank
+        self.recorder = world.recorder
 
-        With ``move=True`` the payload is enqueued without the eager
-        copy — the caller promises never to reuse the buffer (zero-copy
-        handoff for freshly packed messages).
-        """
-        if not 0 <= dest < self.size:
-            raise SimMPIError(f"dest {dest} out of range for comm of size {self.size}")
-        payload = data if move else _copy_payload(data)
-        if isinstance(payload, np.ndarray):
-            self.bytes_sent += payload.nbytes
-        self.messages_sent += 1
+    def send(self, dest_world: int, chan: str, src_rank: int, tag: int,
+             payload: Any, move: bool) -> None:
+        if not move:
+            payload = _copy_payload(payload)
         clock = None
-        hb = self._runtime.hb
+        hb = self.world.hb
         if hb is not None:
             clock = hb.send_event(self.world_rank)
             if move and isinstance(payload, np.ndarray):
                 # in-flight window: the sender's pool must not recycle
                 # this buffer until the receipt happens-before the release
-                hb.open_window(self.world_rank, payload,
-                               self.members[dest], _send_site())
-        if self._recorder is not None:
-            self._recorder.note_send(self.id, self.rank, dest, tag)
-            if move:
-                freeze_payload(payload)
-        box = self._runtime.mailbox(self.id, dest)
-        box.put(_Message(source=self.rank, tag=tag, payload=payload,
-                         clock=clock))
+                hb.open_window(self.world_rank, payload, dest_world, _send_site())
+        self.world.mailbox(chan, dest_world).put(
+            _Message(source=src_rank, tag=tag, payload=payload, clock=clock)
+        )
 
-    def Recv(self, buf: np.ndarray | None = None, source: int = ANY_SOURCE,
-             tag: int = ANY_TAG) -> Any:
-        """Blocking receive.  With an ndarray ``buf`` the payload is copied
-        into it (mpi4py upper-case convention); the payload is returned
-        either way."""
-        rt = self._runtime
-        rt.wfg.enter(PendingOp(
-            rank=self.world_rank, kind="Recv", comm=self.id,
-            source=self.members[source] if source >= 0 else None,
-            tag=None if tag == ANY_TAG else tag,
-        ))
+    def recv(self, chan: str, source: int, tag: int) -> tuple[int, int, Any]:
+        world = self.world
         try:
-            msg = rt.mailbox(self.id, self.rank).get(source, tag, rt.timeout)
+            msg = world.mailbox(chan, self.world_rank).get(source, tag, world.timeout)
         except DeadlockError:
             raise
         except DeadlockTimeout as exc:
-            raise rt.deadlock_error(str(exc)) from None
-        finally:
-            rt.wfg.exit(self.world_rank)
-        if rt.hb is not None:
-            rt.hb.recv_event(self.world_rank, msg.clock)
+            raise world.deadlock_error(str(exc)) from None
+        if world.hb is not None:
+            world.hb.recv_event(self.world_rank, msg.clock)
             if isinstance(msg.payload, np.ndarray):
-                rt.hb.mark_received(self.world_rank, msg.payload)
-        if self._recorder is not None:
-            self._recorder.note_recv(self.id, msg.source, self.rank, msg.tag)
-        if buf is not None:
-            arr = np.asarray(msg.payload)
-            if buf.shape != arr.shape:
-                raise SimMPIError(
-                    f"Recv buffer shape {buf.shape} != message shape {arr.shape}"
-                )
-            buf[...] = arr
-        return msg.payload
+                world.hb.mark_received(self.world_rank, msg.payload)
+        return msg.source, msg.tag, msg.payload
 
-    # ---- collective rendezvous / children -------------------------------------
+    def wfg_enter(self, op: PendingOp) -> None:
+        self.world.wfg.enter(op)
 
-    def _exchange(self, seq: int, payload: Any) -> dict[int, Any]:
-        return self._runtime.exchange(self, seq, payload)
+    def wfg_exit(self) -> None:
+        self.world.wfg.exit(self.world_rank)
 
-    def _make_child(self, comm_id: str, members: Sequence[int]) -> Communicator:
-        return Communicator(self._runtime, comm_id, members, self.world_rank)
+    def exchange(self, comm: Communicator, seq: int, payload: Any) -> dict[int, Any]:
+        return self.world.exchange(comm, seq, payload)
+
+    def gather(self, comm: Communicator, seq: int, data: Any,
+               root: int) -> list[Any] | None:
+        all_data = self.world.exchange(comm, seq, data)
+        if comm.rank == root:
+            return [all_data[r] for r in range(comm.size)]
+        return None
+
+    def bcast(self, comm: Communicator, seq: int, data: Any, root: int) -> Any:
+        return self.world.exchange(comm, seq, data)[root]
+
+    def isolate(self, data: Any) -> Any:
+        """Collective payloads share the address space: copy them."""
+        return _copy_payload(data)
 
     def hb_clock(self) -> tuple | None:
-        hb = self._runtime.hb
+        hb = self.world.hb
         return hb.clock_of(self.world_rank) if hb is not None else None
 
 
 class SimMPI:
-    """Launcher: run an SPMD function on ``nprocs`` simulated ranks.
+    """Launcher: run an SPMD function on ``nprocs`` thread ranks.
 
     >>> def program(comm):
     ...     return comm.allreduce(comm.rank)
     >>> SimMPI.run(4, program)
     [6, 6, 6, 6]
 
-    ``backend="thread"`` (default) runs one thread per rank in this
-    process; ``backend="process"`` delegates to
-    :class:`repro.parallel.procmpi.ProcMPI` — one OS process per rank
-    with shared-memory message transport (the rank function and its
-    arguments must then be picklable, i.e. defined at module level).
+    The other backends are reached through
+    :func:`repro.parallel.backends.get_backend`.
     """
 
     @staticmethod
@@ -652,65 +669,59 @@ class SimMPI:
         fn: Callable[..., Any],
         *args: Any,
         timeout: float = None,
-        backend: str = "thread",
         **kwargs: Any,
     ) -> list[Any]:
         """Execute ``fn(comm, *args, **kwargs)`` on every rank; returns the
         per-rank return values in rank order.  Any rank exception aborts
         the world and is re-raised (with all failures noted)."""
         timeout = resolve_timeout(timeout)
-        if backend != "thread":
-            from repro.parallel.backends import get_backend
-
-            return get_backend(backend).run(
-                nprocs, fn, *args, timeout=timeout, **kwargs
-            )
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-        runtime = _Runtime(nprocs, timeout)
+        world = _World(nprocs, timeout)
         results: list[Any] = [None] * nprocs
 
         def runner(rank: int) -> None:
-            if runtime.hb is not None:
-                runtime.hb.register_thread(rank)
-            comm = Communicator(runtime, "world", list(range(nprocs)), rank)
+            if world.hb is not None:
+                world.hb.register_thread(rank)
+            comm = Communicator(_ThreadRuntime(world, rank), "world",
+                                list(range(nprocs)), rank)
             try:
                 results[rank] = fn(comm, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - reported to launcher
-                runtime.failures.append(exc)
+                world.failures.append(exc)
                 raise
 
         threads = [
             threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
             for r in range(nprocs)
         ]
-        if runtime.hb is not None:
-            activate_tracker(runtime.hb)
+        if world.hb is not None:
+            activate_tracker(world.hb)
         try:
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=timeout * 2)
                 if t.is_alive():
-                    raise runtime.deadlock_error(
+                    raise world.deadlock_error(
                         f"{t.name} did not terminate"
                     )
         finally:
-            if runtime.hb is not None:
-                deactivate_tracker(runtime.hb)
-        if runtime.failures:
+            if world.hb is not None:
+                deactivate_tracker(world.hb)
+        if world.failures:
             # concurrent timeouts race to snapshot the wait-for graph;
             # surface the failure that caught the cycle when one did
-            fail = runtime.failures[0]
-            for f in runtime.failures:
+            fail = world.failures[0]
+            for f in world.failures:
                 if isinstance(f, DeadlockError) and f.cycle:
                     fail = f
                     break
             raise fail
-        if runtime.recorder is not None:
-            report = runtime.recorder.report()
-            if runtime.hb is not None:
-                report.races.extend(runtime.hb.races())
+        if world.recorder is not None:
+            report = world.recorder.report()
+            if world.hb is not None:
+                report.races.extend(world.hb.races())
             set_last_protocol_report(report)
             if not report.ok:
                 raise ProtocolViolation(report.summary())

@@ -17,17 +17,19 @@ disagreement all raise
 :class:`~repro.checkers.sanitize.ProtocolViolation`), but array
 payloads are only materialised at the destination rank.
 
-Collectives come from the shared
-:class:`~repro.parallel.transport.RootedRendezvous` (gather-to-root +
-rebroadcast on the ``"\\x00coll"`` control channel), so reductions
-associate in rank order exactly as on the thread and process backends
-and the parallel solver stays bitwise-equal to the serial one.
+The communicator, the matching loop and the collective rendezvous
+(gather-to-root + rebroadcast on the ``"\\x00coll"`` channel) are the
+shared ones (:mod:`repro.parallel.simmpi`,
+:mod:`repro.parallel.transport`), so reductions associate in rank
+order exactly as on the thread and process backends and the parallel
+solver stays bitwise-equal to the serial one.
 
 Control protocol (``"\\x00ctl"`` channel, coordinator ``dest = -3``):
 ``HELLO`` (worker → coordinator, with protocol version), ``ASSIGN``
 (coordinator → worker: rank, world size, timeout, pickled rank
 function), ``RESULT`` (worker → coordinator: return value or packed
-exception), ``ABORT`` (coordinator → workers: the world is going down,
+exception), ``STUCK`` (worker → coordinator: the op a timed-out rank is
+blocked in), ``ABORT`` (coordinator → workers: the world is going down,
 with the reason).  A worker that disconnects mid-run aborts the world:
 every surviving rank raises :class:`ProtocolViolation` naming the dead
 rank instead of hanging until the timeout guard.
@@ -51,38 +53,27 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import queue as _queue
 import socket as _socket
 import threading
 import time as _time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
-import numpy as np
-
-from repro.checkers.hb import PendingOp, WaitForGraph
-from repro.checkers.sanitize import (
-    ProtocolRecorder,
-    ProtocolViolation,
-    freeze_payload,
-    sanitize_enabled,
-)
+from repro.checkers.sanitize import ProtocolViolation
 from repro.parallel.frames import Frame, encode_frame, read_frame
 from repro.parallel.fuzz import ScheduleFuzzer
-from repro.parallel.procmpi import _pack_exception, _pack_result
-from repro.parallel.simmpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    CommunicatorBase,
-    DeadlockError,
-    DeadlockTimeout,
-    SimMPIError,
-    resolve_timeout,
+from repro.parallel.simmpi import DeadlockTimeout, resolve_timeout
+from repro.parallel.transport import (
+    SPAWN,
+    RankRuntime,
+    WorkerError,
+    collect,
+    reap,
+    serve_rank,
 )
-from repro.parallel.transport import RootedRendezvous, verify_protocol
 
-__all__ = ["SockCommunicator", "SockMPI", "SockWorkerError", "worker_join"]
+__all__ = ["SockMPI", "worker_join"]
 
 #: Control traffic (handshake, results, aborts) rides its own channel.
 CTL_CHANNEL = "\x00ctl"
@@ -96,9 +87,7 @@ PROTOCOL_VERSION = 1
 LAUNCHER_NAME = "socket"
 
 #: Registry capabilities record (see ``backends.LauncherCapabilities``).
-LAUNCHER_CAPABILITIES = dict(
-    picklable_fn=True, cross_host=True, self_launch=True, max_ranks=None,
-)
+LAUNCHER_CAPABILITIES = dict(picklable_fn=True, cross_host=True, self_launch=True)
 
 
 def launcher_detect() -> tuple[bool, str]:
@@ -119,11 +108,6 @@ def launcher_detect() -> tuple[bool, str]:
 def open_launcher(**opts):
     """Registry hook: a configured :class:`SockMPI` launcher."""
     return SockMPI(**opts)
-
-
-class SockWorkerError(SimMPIError):
-    """A socket-world rank failed with an exception that could not be
-    re-raised directly (unpicklable); carries the formatted traceback."""
 
 
 def _parse_address(address: str) -> tuple[str, int]:
@@ -164,84 +148,51 @@ def _recv_exactly_fn(sock: _socket.socket, who: str):
 
 
 def _send_frame(sock: _socket.socket, lock: threading.Lock, chan: str,
-                source: int, dest: int, tag: int, payload: Any) -> int:
-    """Encode and write one frame; returns the array byte count."""
+                source: int, dest: int, tag: int, payload: Any) -> None:
+    """Encode and write one frame."""
     head, body = encode_frame(chan, source, dest, tag, payload)
     with lock:
         sock.sendall(head)
         sock.sendall(body)
-    return payload.nbytes if isinstance(payload, np.ndarray) else 0
 
 
 # ---- worker side -----------------------------------------------------------------
 
 
-class _SockRuntime:
+class _SockRuntime(RankRuntime):
     """One rank's view of the star transport: a single coordinator socket.
 
-    Exposes the two transport primitives :class:`RootedRendezvous`
-    builds on — ``send(dest_world, chan, src_rank, tag, payload)`` and
-    ``recv(chan, source, tag)`` — with the same matching semantics as
-    the shared-memory runtime: frames read off the socket that match
-    nothing yet are parked in ``pending`` until a receive asks for them.
+    Frames read off the socket that match nothing yet are parked in
+    ``pending`` by the shared matching loop until a receive asks for
+    them; a timed-out rank sends its STUCK notice to the coordinator.
     """
 
     def __init__(self, sock: _socket.socket, world_rank: int, nprocs: int,
                  timeout: float):
+        super().__init__(world_rank, nprocs, timeout)
         self.sock = sock
-        self.world_rank = world_rank
-        self.nprocs = nprocs
-        self.timeout = timeout
-        self.pending: list[Frame] = []
         self._wlock = threading.Lock()
         self._read = _recv_exactly_fn(sock, f"rank {world_rank}")
-        #: one recorder per rank runtime (REPRO_SANITIZE=1) — per-rank
-        #: snapshots merge at finalize via :func:`verify_protocol`
-        self.recorder: ProtocolRecorder | None = (
-            ProtocolRecorder() if sanitize_enabled() else None
-        )
-        #: blocking ops can nest (a collective recv inside the
-        #: rendezvous); the innermost one names why this rank is stuck
-        self._op_stack: list[PendingOp] = []
-
-    # ---- wait-for registration (shared with RootedRendezvous) -----------------
-
-    def wfg_enter(self, op: PendingOp) -> PendingOp:
-        self._op_stack.append(op)
-        return op
-
-    def wfg_exit(self, rank: int | None = None) -> None:
-        if self._op_stack:
-            self._op_stack.pop()
-
-    def deadlock_error(self, base: str) -> DeadlockError:
-        """Upgrade a bare timeout: tell the coordinator why this rank is
-        stuck (a STUCK control notice with the innermost blocking op),
-        so the launcher can merge every rank's notice into the world
-        wait-for graph; the local error carries this rank's view."""
-        op = self._op_stack[-1] if self._op_stack else None
-        d = op.as_dict() if op is not None else None
-        with contextlib.suppress(OSError, ProtocolViolation, DeadlockTimeout):
-            self.send_ctl(("STUCK", self.world_rank, d))
-        detail = op.describe() if op is not None else "an unregistered blocking op"
-        return DeadlockError(
-            f"{base}\nrank {self.world_rank} blocked in {detail}",
-            pending={self.world_rank: d},
-        )
 
     def send(self, dest_world: int, chan: str, src_rank: int, tag: int,
-             payload: Any) -> int:
+             payload: Any, move: bool) -> None:
+        """Write one frame: the coordinator buffers, so ``move`` needs
+        no special handling."""
         try:
-            return _send_frame(self.sock, self._wlock, chan, src_rank,
-                               dest_world, tag, payload)
+            _send_frame(self.sock, self._wlock, chan, src_rank, dest_world,
+                        tag, payload)
         except OSError as exc:
             raise ProtocolViolation(
                 f"rank {self.world_rank}: coordinator connection lost "
                 f"during send: {exc}"
             ) from exc
 
-    def _next_frame(self) -> Frame:
-        frame = read_frame(self._read)
+    def _fetch(self, remaining: float) -> Frame | None:
+        self.sock.settimeout(remaining)
+        try:
+            frame = read_frame(self._read)
+        except DeadlockTimeout:
+            return None
         if frame.chan == CTL_CHANNEL:
             msg = frame.materialise()
             if isinstance(msg, tuple) and msg and msg[0] == "ABORT":
@@ -252,109 +203,20 @@ class _SockRuntime:
             )
         return frame
 
-    def recv(self, chan: str, source: int, tag: int) -> tuple[int, int, Any]:
-        """Match and return ``(source_rank, matched_tag, payload)``."""
+    def _materialise(self, frame: Frame) -> Any:
+        return frame.materialise()
 
-        def match_idx() -> int | None:
-            for i, f in enumerate(self.pending):
-                if f.chan != chan:
-                    continue
-                if (source == ANY_SOURCE or f.source == source) and (
-                    tag == ANY_TAG or f.tag == tag
-                ):
-                    return i
-            return None
-
-        # deadlock-timeout bookkeeping, not numerics
-        deadline = _time.monotonic() + self.timeout  # repro: noqa-REP015
-        while True:
-            idx = match_idx()
-            if idx is not None:
-                f = self.pending.pop(idx)
-                return f.source, f.tag, f.materialise()
-            remaining = deadline - _time.monotonic()  # repro: noqa-REP015
-            if remaining <= 0:
-                raise self.deadlock_error(
-                    f"Recv(chan={chan!r}, source={source}, tag={tag}) timed "
-                    f"out after {self.timeout}s on world rank {self.world_rank}"
-                )
-            self.sock.settimeout(remaining)
-            try:
-                self.pending.append(self._next_frame())
-            except DeadlockError:
-                raise
-            except DeadlockTimeout:
-                raise self.deadlock_error(
-                    f"Recv(chan={chan!r}, source={source}, tag={tag}) timed "
-                    f"out after {self.timeout}s on world rank {self.world_rank}"
-                ) from None
+    def _post_stuck(self, op: dict | None) -> None:
+        self.send_ctl(("STUCK", self.world_rank, op))
 
     def send_ctl(self, payload: Any) -> None:
         _send_frame(self.sock, self._wlock, CTL_CHANNEL, self.world_rank,
                     COORD_DEST, 0, payload)
 
     def close(self) -> None:
-        self.pending.clear()
+        super().close()
         with contextlib.suppress(OSError):
             self.sock.close()
-
-
-class SockCommunicator(RootedRendezvous, CommunicatorBase):
-    """MPI-style communicator whose transport is the coordinator socket.
-
-    Point-to-point payloads travel as frames through the router;
-    collectives come from :class:`CommunicatorBase` over the shared
-    :class:`~repro.parallel.transport.RootedRendezvous`, identically to
-    the process backend."""
-
-    def __init__(self, runtime: _SockRuntime, comm_id: str,
-                 members: Sequence[int], world_rank: int):
-        self._rt = runtime
-        self._init_base(comm_id, members, world_rank)
-        self._recorder = runtime.recorder
-
-    # ---- point-to-point -------------------------------------------------------
-
-    def Send(self, data: Any, dest: int, tag: int = 0, *, move: bool = False) -> None:
-        """Blocking standard send: the frame write decouples sender and
-        receiver (the coordinator buffers), so ``move=True`` needs no
-        special handling beyond the sanitizer freeze."""
-        if not 0 <= dest < self.size:
-            raise SimMPIError(f"dest {dest} out of range for comm of size {self.size}")
-        nbytes = self._rt.send(self.members[dest], self.id, self.rank, tag, data)
-        self.bytes_sent += nbytes
-        self.messages_sent += 1
-        if self._recorder is not None:
-            self._recorder.note_send(self.id, self.rank, dest, tag)
-            if move:
-                freeze_payload(data)
-
-    def Recv(self, buf: np.ndarray | None = None, source: int = ANY_SOURCE,
-             tag: int = ANY_TAG) -> Any:
-        self._rt.wfg_enter(PendingOp(
-            rank=self._rt.world_rank, kind="Recv", comm=self.id,
-            source=self.members[source] if source >= 0 else None,
-            tag=None if tag == ANY_TAG else tag,
-        ))
-        try:
-            src, matched_tag, payload = self._rt.recv(self.id, source, tag)
-        finally:
-            self._rt.wfg_exit()
-        if self._recorder is not None:
-            self._recorder.note_recv(self.id, src, self.rank, matched_tag)
-        if buf is not None:
-            arr = np.asarray(payload)
-            if buf.shape != arr.shape:
-                raise SimMPIError(
-                    f"Recv buffer shape {buf.shape} != message shape {arr.shape}"
-                )
-            buf[...] = arr
-        return payload
-
-    # ---- collective rendezvous: RootedRendezvous over self._rt ----------------
-
-    def _make_child(self, comm_id: str, members: Sequence[int]) -> SockCommunicator:
-        return SockCommunicator(self._rt, comm_id, members, self.world_rank)
 
 
 def worker_join(address: str, *, timeout: float | None = None) -> Any:
@@ -362,10 +224,11 @@ def worker_join(address: str, *, timeout: float | None = None) -> Any:
 
     This is the whole worker: handshake, receive the rank assignment
     (with the pickled rank function), run it over a
-    :class:`SockCommunicator`, report the result.  ``repro-paper worker
-    --connect`` is a thin wrapper; tests call it in threads for an
-    in-process loopback world.  Returns the rank function's value (and
-    re-raises its exception after reporting it to the coordinator).
+    :class:`~repro.parallel.simmpi.Communicator`, report the result.
+    ``repro-paper worker --connect`` is a thin wrapper; tests call it in
+    threads for an in-process loopback world.  Returns the rank
+    function's value (and re-raises its exception after reporting it to
+    the coordinator).
     """
     timeout = resolve_timeout(timeout)
     host, port = _parse_address(address)
@@ -390,17 +253,10 @@ def worker_join(address: str, *, timeout: float | None = None) -> Any:
             raise ProtocolViolation(f"expected ASSIGN, got {msg[0]!r}")
         _, rank, nprocs, run_timeout, fn, fn_args, fn_kwargs = msg
         runtime = _SockRuntime(sock, rank, nprocs, run_timeout)
-        comm = SockCommunicator(runtime, "world", list(range(nprocs)), rank)
-        try:
-            value = fn(comm, *fn_args, **fn_kwargs)
-            if runtime.recorder is not None:
-                verify_protocol(comm, runtime.recorder)
-        except BaseException as exc:  # noqa: BLE001 - reported to coordinator
-            with contextlib.suppress(OSError):
-                runtime.send_ctl(("RESULT", rank, "err", _pack_exception(exc)))
-            raise
-        runtime.send_ctl(("RESULT", rank, "ok", _pack_result(value)))
-        return value
+        return serve_rank(
+            runtime, fn, fn_args, fn_kwargs,
+            lambda status, packed: runtime.send_ctl(("RESULT", rank, status, packed)),
+        )
     finally:
         if runtime is not None:
             runtime.close()
@@ -433,17 +289,15 @@ class _Router:
         self.socks: list[_socket.socket | None] = [None] * nprocs
         self.wlocks = [threading.Lock() for _ in range(nprocs)]
         self.finished = [False] * nprocs
-        self.result_q: _queue.Queue = _queue.Queue()
+        #: the launcher's record queue (``transport.collect``): results,
+        #: STUCK notices and the abort
+        self.records: _queue.Queue = _queue.Queue()
         self.abort_reason: str | None = None
         self._abort_lock = threading.Lock()
         #: seeded schedule perturbation (REPRO_SCHED_FUZZ): random
         #: jitter before each forwarded frame; the sleep happens in this
         #: reader thread, so senders never block
         self.fuzz = ScheduleFuzzer.from_env()
-        #: rank -> blocked-op dict from STUCK notices (ranks whose
-        #: blocking op timed out); merged into the world wait-for
-        #: graph by the launcher's collector
-        self.stuck: dict[int, dict | None] = {}
 
     def serve(self, rank: int) -> None:
         sock = self.socks[rank]
@@ -461,10 +315,10 @@ class _Router:
                     msg = frame.materialise()
                     if msg[0] == "RESULT":
                         self.finished[rank] = True
-                        self.result_q.put(("result", msg[1], msg[2], msg[3]))
+                        self.records.put((msg[2], msg[1], msg[3]))
                         continue  # drain until the worker closes
                     if msg[0] == "STUCK":
-                        self.stuck[msg[1]] = msg[2]
+                        self.records.put(("stuck", msg[1], msg[2]))
                         continue
                     raise ProtocolViolation(
                         f"unexpected control message {msg[0]!r} from rank {rank}"
@@ -498,7 +352,7 @@ class _Router:
                 with self.wlocks[r]:
                     s.sendall(head)
                     s.sendall(body)
-        self.result_q.put(("abort", -1, None, None))
+        self.records.put(("abort", -1, reason))
 
     def close_all(self) -> None:
         for s in self.socks:
@@ -522,7 +376,6 @@ class SockMPI:
     name = "socket"
 
     def __init__(self, bind: str | None = None, spawn: bool | None = None,
-                 start_method: str | None = None,
                  announce: Callable[[str], None] | None = None):
         self.bind = bind or os.environ.get("REPRO_SOCKMPI_BIND", "127.0.0.1:0")
         if spawn is None:
@@ -530,7 +383,6 @@ class SockMPI:
                 "0", "false", "off", "no",
             )
         self.spawn = spawn
-        self.start_method = start_method
         self.announce = announce
 
     def run(self, nprocs: int, fn: Callable[..., Any], *args: Any,
@@ -548,18 +400,11 @@ class SockMPI:
         router = _Router(nprocs, timeout)
         procs: list[Any] = []
         threads: list[threading.Thread] = []
-        results: list[Any] = [None] * nprocs
         error: BaseException | None = None
         try:
             if self.spawn:
-                import multiprocessing as mp
-
-                method = self.start_method or os.environ.get(
-                    "REPRO_PROCMPI_START", "spawn"
-                )
-                ctx = mp.get_context(method)
                 procs = [
-                    ctx.Process(
+                    SPAWN.Process(
                         target=_spawned_worker, args=(addr, timeout),
                         name=f"sockmpi-rank-{r}", daemon=True,
                     )
@@ -591,7 +436,8 @@ class SockMPI:
             ]
             for t in threads:
                 t.start()
-            error = self._collect(router, results, nprocs, timeout)
+            results, error = collect(router.records, nprocs, 2 * timeout + 60.0,
+                                     "socket")
         except BaseException as exc:  # noqa: BLE001 - re-raised after teardown
             error = exc
         finally:
@@ -601,13 +447,7 @@ class SockMPI:
             for t in threads:
                 t.join(timeout=5.0)
             router.close_all()
-            grace = 1.0 if error is not None else timeout
-            for p in procs:
-                p.join(timeout=grace)
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=5.0)
+            reap(procs, error is not None, timeout)
         if error is not None:
             raise error
         return results
@@ -629,7 +469,7 @@ class SockMPI:
                 )
             dead = [r for r, p in enumerate(procs) if p.exitcode not in (None, 0)]
             if dead:
-                raise SockWorkerError(
+                raise WorkerError(
                     f"spawned worker process(es) {dead} died before "
                     f"connecting (exit codes {[procs[r].exitcode for r in dead]})"
                 )
@@ -662,73 +502,3 @@ class SockMPI:
                 continue
             router.socks[n] = sock
             n += 1
-
-    @staticmethod
-    def _merge_deadlock(router: _Router, err: DeadlockError,
-                        nprocs: int) -> DeadlockError:
-        """One rank timed out; merge every rank's STUCK notice into the
-        world wait-for graph.  Peers share the same guard, so their
-        notices land within moments of the first — give them a beat."""
-        grace = _time.monotonic() + 1.5
-        while _time.monotonic() < grace:
-            blocked = {r for r in range(nprocs) if not router.finished[r]}
-            if blocked <= set(router.stuck):
-                break
-            _time.sleep(0.05)
-        merged = {
-            r: router.stuck.get(r, err.pending.get(r)) for r in range(nprocs)
-        }
-        snap = WaitForGraph.snapshot_from_dicts(merged, nprocs)
-        cycle = WaitForGraph.find_cycle(snap)
-        first_line = str(err.args[0]).splitlines()[0]
-        return DeadlockError(
-            first_line + "\n" + WaitForGraph.describe(snap, cycle),
-            pending=merged,
-            cycle=cycle,
-        )
-
-    @staticmethod
-    def _collect(router: _Router, results: list[Any], nprocs: int,
-                 timeout: float) -> BaseException | None:
-        """Wait for every rank's RESULT (or the first failure/abort)."""
-        deadline = _time.monotonic() + 2 * timeout + 60.0
-        got = 0
-        while got < nprocs:
-            try:
-                kind, rank, status, packed = router.result_q.get(timeout=0.2)
-            except _queue.Empty:
-                if router.abort_reason is not None:
-                    return ProtocolViolation(router.abort_reason)
-                if _time.monotonic() > deadline:
-                    # ranks that timed out said why (STUCK notices);
-                    # merge them into the world wait-for graph
-                    raw = {r: router.stuck.get(r) for r in range(nprocs)}
-                    snap = WaitForGraph.snapshot_from_dicts(raw, nprocs)
-                    cycle = WaitForGraph.find_cycle(snap)
-                    return DeadlockError(
-                        f"socket world of {nprocs} did not report within "
-                        f"{2 * timeout:.0f}s run guard\n"
-                        + WaitForGraph.describe(snap, cycle),
-                        pending=raw,
-                        cycle=cycle,
-                    )
-                continue
-            if kind == "abort":
-                return ProtocolViolation(router.abort_reason or "world aborted")
-            got += 1
-            if status == "ok":
-                how, blob = packed
-                results[rank] = pickle.loads(blob) if how == "pickle" else blob
-            else:
-                how, payload = packed
-                if how == "exc":
-                    blob, tb = payload
-                    try:
-                        error = pickle.loads(blob)
-                    except Exception:
-                        return SockWorkerError(f"rank {rank} failed:\n{tb}")
-                    if isinstance(error, DeadlockError):
-                        error = SockMPI._merge_deadlock(router, error, nprocs)
-                    return error
-                return SockWorkerError(f"rank {rank} failed:\n{payload}")
-        return None

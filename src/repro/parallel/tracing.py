@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.parallel.simmpi import CommunicatorBase
+from repro.parallel.simmpi import Communicator
 
 Array = np.ndarray
 
@@ -73,7 +73,7 @@ class CommTrace:
 
 
 class TracedCommunicator:
-    """Wraps a :class:`CommunicatorBase`, recording every ``Send``.
+    """Wraps a :class:`Communicator`, recording every ``Send``.
 
     All other attributes delegate to the wrapped communicator, so a
     traced communicator drops into HaloExchanger / OversetExchanger
@@ -88,7 +88,7 @@ class TracedCommunicator:
     time is when the bytes leave).
     """
 
-    def __init__(self, comm: CommunicatorBase, trace: CommTrace):
+    def __init__(self, comm: Communicator, trace: CommTrace):
         self._comm = comm
         self.trace = trace
 

@@ -25,8 +25,7 @@ from repro.checkers.hb import (
     merge_clocks,
     note_buffer_release,
 )
-from repro.parallel.mpimpi import current_pending_op
-from repro.parallel.procmpi import ProcMPI, _OpRegister
+from repro.parallel.procmpi import ProcMPI
 from repro.parallel.simmpi import DeadlockError, DeadlockTimeout, SimMPI
 from repro.parallel.sockmpi import SockMPI, worker_join
 
@@ -302,48 +301,8 @@ class TestThreadDeadlockDiagnosis:
 
 
 # --------------------------------------------------------------------------
-# process backend: shared-memory op register
+# process backend: STUCK notices merged by the launcher
 # --------------------------------------------------------------------------
-
-
-class TestOpRegister:
-    def test_publish_read_roundtrip(self):
-        reg = _OpRegister(3)
-        try:
-            reg.publish(1, PendingOp(rank=1, kind="Recv", source=0, tag=3))
-            peer = _OpRegister(3, name=reg.name)
-            try:
-                raw = peer.read_all()
-            finally:
-                peer.close()
-            assert raw[0] is None and raw[2] is None
-            assert raw[1]["kind"] == "Recv" and raw[1]["source"] == 0
-        finally:
-            reg.close()
-            reg.unlink()
-
-    def test_publish_none_clears_slot(self):
-        reg = _OpRegister(2)
-        try:
-            reg.publish(0, PendingOp(rank=0, kind="Recv", source=1))
-            reg.publish(0, None)
-            assert reg.read_all()[0] is None
-        finally:
-            reg.close()
-            reg.unlink()
-
-    def test_oversized_op_degrades_not_drops(self):
-        reg = _OpRegister(1)
-        try:
-            big = PendingOp(rank=0, kind="collective", comm="c" * 200,
-                            members=tuple(range(64)), detail="d" * 400)
-            reg.publish(0, big)
-            d = reg.read_all()[0]
-            assert d is not None and d["kind"] == "collective"
-            assert len(d["detail"]) <= 64
-        finally:
-            reg.close()
-            reg.unlink()
 
 
 class TestProcessDeadlockDiagnosis:
@@ -413,12 +372,3 @@ class TestSocketDeadlockDiagnosis:
 
     def test_clean_loopback_world(self):
         assert _loopback_world(2, _ok_ring, timeout=30.0) == [1.0, 0.0]
-
-
-# --------------------------------------------------------------------------
-# mpi4py shim: pending-op hook exists even without mpi4py installed
-# --------------------------------------------------------------------------
-
-
-def test_mpimpi_pending_op_hook():
-    assert current_pending_op() is None

@@ -16,6 +16,7 @@ from repro.checkers.sanitize import (
     sanitize_enabled,
 )
 from repro.fd.kernels import BufferPool
+from repro.parallel.backends import get_backend
 from repro.parallel.simmpi import SimMPI
 
 
@@ -208,12 +209,12 @@ def _sanitized_unmatched_prog(comm):
 
 class TestProcessBackend:
     def test_sanitized_process_world_runs_clean(self, sanitize):
-        out = SimMPI.run(2, _sanitized_smoke_prog, backend="process")
+        out = get_backend("process").run(2, _sanitized_smoke_prog)
         assert out == [12.0, 12.0]
 
     def test_process_world_reports_unmatched_send(self, sanitize):
         with pytest.raises(ProtocolViolation, match="unmatched send"):
-            SimMPI.run(2, _sanitized_unmatched_prog, backend="process")
+            get_backend("process").run(2, _sanitized_unmatched_prog)
 
 
 class TestBitwiseEquivalence:

@@ -91,7 +91,7 @@ class TestCommands:
     def test_backends(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("thread", "process", "socket", "mpi4py"):
+        for name in ("thread", "process", "socket"):
             assert name in out
         assert "active: thread (default)" in out
         assert "cross-host" in out  # the capabilities column

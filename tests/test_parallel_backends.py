@@ -9,7 +9,12 @@ from repro.parallel.procmpi import ProcMPI
 from repro.parallel.simmpi import SimMPI
 from repro.parallel.sockmpi import SockMPI
 
-_MPI4PY_AVAILABLE = pb.probe("mpi4py").available
+
+@pytest.fixture
+def broken(monkeypatch):
+    """A registered backend whose probe fails (its module is missing)."""
+    monkeypatch.setitem(pb.BACKENDS, "broken", "repro.parallel.no_such_module")
+    return "broken"
 
 
 class TestProbe:
@@ -37,16 +42,10 @@ class TestProbe:
         with pytest.raises(ValueError, match="unknown launcher backend"):
             pb.probe("rdma")
 
-    def test_probe_failure_is_not_fatal(self, monkeypatch):
-        monkeypatch.setitem(pb.BACKENDS, "broken", "repro.parallel.no_such_module")
-        info = pb.probe("broken")
+    def test_probe_failure_is_not_fatal(self, broken):
+        info = pb.probe(broken)
         assert not info.available
         assert "probe failed" in info.detail
-
-    def test_mpi4py_probe_is_actionable_when_missing(self):
-        info = pb.probe("mpi4py")
-        if not info.available:
-            assert "mpi4py" in info.detail
 
 
 class TestSelection:
@@ -69,10 +68,9 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown launcher backend"):
             pb.select("rdma")
 
-    @pytest.mark.skipif(_MPI4PY_AVAILABLE, reason="mpi4py is installed here")
-    def test_unavailable_selection_warns_and_falls_back(self):
+    def test_unavailable_selection_warns_and_falls_back(self, broken):
         with pytest.warns(RuntimeWarning, match="falling back"):
-            assert pb.select("mpi4py") == "thread"
+            assert pb.select(broken) == "thread"
 
     def test_available_selection_does_not_warn(self):
         with warnings.catch_warnings():
@@ -101,8 +99,7 @@ class TestGetBackend:
         assert "repro-paper backends" in str(exc.value)
         assert "thread" in str(exc.value)
 
-    @pytest.mark.skipif(_MPI4PY_AVAILABLE, reason="mpi4py is installed here")
-    def test_unavailable_raises_backend_unavailable(self):
+    def test_unavailable_raises_backend_unavailable(self, broken):
         with pytest.raises(pb.BackendUnavailable, match="unavailable"):
-            pb.get_backend("mpi4py")
+            pb.get_backend(broken)
         assert issubclass(pb.BackendUnavailable, ValueError)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.checkers.sanitize import ProtocolRecorder
 from repro.parallel.backends import BACKENDS, available_backends, get_backend, probe
-from repro.parallel.simmpi import CommunicatorBase, SimMPI
+from repro.parallel.simmpi import Communicator, SimMPI
 
 
 @st.composite
@@ -113,7 +113,7 @@ def _parity_prog(comm):
 
 
 _CROSS_BACKENDS = [
-    b for b in ("process", "socket", "mpi4py")
+    b for b in ("process", "socket")
     if b in available_backends() and probe(b).capabilities.self_launch
 ]
 
@@ -136,18 +136,18 @@ class TestCrossBackendParity:
 
     def test_every_backend_advertises_nonblocking(self):
         """Isend/Irecv/Waitall are part of the required communicator
-        contract: every registered backend's communicator provides them."""
-        for name, module in BACKENDS.items():
-            mod = importlib.import_module(module)
-            comms = [
-                obj for obj in vars(mod).values()
-                if isinstance(obj, type) and issubclass(obj, CommunicatorBase)
-                and obj.__module__ == mod.__name__
-            ]
-            assert comms, name
-            for comm in comms:
-                for method in ("Isend", "Irecv", "Waitall"):
-                    assert callable(getattr(comm, method, None)), (name, method)
+        contract: every registered backend runs its ranks on the one
+        :class:`Communicator` (no backend defines a communicator class
+        of its own), and that class provides them."""
+        comm_classes = {
+            obj
+            for module in BACKENDS.values()
+            for obj in vars(importlib.import_module(module)).values()
+            if isinstance(obj, type) and hasattr(obj, "Recv")
+        }
+        assert comm_classes == {Communicator}
+        for method in ("Isend", "Irecv", "Waitall"):
+            assert callable(getattr(Communicator, method, None)), method
 
 
 class TestRequestLifetimeTracking:

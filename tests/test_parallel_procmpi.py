@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.parallel.backends import available_backends, get_backend
-from repro.parallel.procmpi import ProcMPI, ProcWorkerError
+from repro.parallel.procmpi import ProcMPI
 from repro.parallel.simmpi import SimMPI, SimMPIError
+from repro.parallel.transport import WorkerError
 
 
 def _combined_prog(comm):
@@ -96,4 +97,4 @@ class TestProcessWorld:
         assert proc == thread
 
     def test_is_simmpi_error_family(self):
-        assert issubclass(ProcWorkerError, SimMPIError)
+        assert issubclass(WorkerError, SimMPIError)

@@ -1,6 +1,13 @@
+import glob
+import os
+import pickle
+import time
+
 import numpy as np
 import pytest
 
+from repro.checkers.sanitize import ProtocolViolation
+from repro.parallel.backends import get_backend
 from repro.parallel.simmpi import (
     ANY_SOURCE,
     ANY_TAG,
@@ -8,6 +15,7 @@ from repro.parallel.simmpi import (
     SimMPI,
     SimMPIError,
 )
+from repro.parallel.transport import WorkerError
 
 
 class TestLaunch:
@@ -320,3 +328,94 @@ class TestTimeoutEnv:
         assert _timeout_from_env(default=33.0) == 33.0
         monkeypatch.setenv("REPRO_SIMMPI_TIMEOUT", "-5")
         assert _timeout_from_env(default=33.0) == 33.0
+
+
+# ---- every backend: one rank program each (module level: spawn pickles it) ----
+
+
+def _error_of(op) -> str:
+    try:
+        op()
+    except SimMPIError as exc:
+        return str(exc)
+    return "no error"
+
+
+def _p2p_semantics_prog(comm):
+    """The point-to-point behaviours the one communicator carries, in one
+    world of three ranks: out-of-order tag matching, FIFO per (source,
+    tag), the ``Recv`` buffer-shape check, the ``dest`` range check,
+    ``ANY_SOURCE``/``ANY_TAG`` and the accounting counters."""
+    out = {"dest_range": _error_of(lambda: comm.Send(1, dest=5))}
+    if comm.rank == 0:
+        comm.Send("first", dest=1, tag=1)
+        comm.Send("second", dest=1, tag=2)
+        for k in range(5):
+            comm.Send(k, dest=1, tag=9)
+        comm.Send(np.zeros(3), dest=1, tag=4)
+    elif comm.rank == 1:
+        second = comm.Recv(source=0, tag=2)
+        first = comm.Recv(source=0, tag=1)
+        out["out_of_order"] = (first, second)
+        out["fifo"] = [comm.Recv(source=0, tag=9) for _ in range(5)]
+        out["shape"] = _error_of(lambda: comm.Recv(np.zeros(4), source=0, tag=4))
+    wild = comm.dup()
+    if wild.rank == 0:
+        out["any"] = sorted(wild.Recv(source=ANY_SOURCE, tag=ANY_TAG)
+                            for _ in range(wild.size - 1))
+    else:
+        wild.Send(wild.rank, dest=0, tag=wild.rank)
+    acct = comm.dup()  # a fresh communicator counts from zero
+    if acct.rank == 0:
+        acct.Send(np.zeros(100), dest=1)
+    elif acct.rank == 1:
+        acct.Recv(source=0)
+    out["acct"] = (acct.bytes_sent, acct.messages_sent)
+    comm.barrier()
+    return out
+
+
+def _killed_prog(comm):
+    comm.barrier()
+    if comm.rank == 1:
+        os._exit(3)
+    comm.Recv(source=1, tag=0)  # rank 1 is gone: never sent
+
+
+class TestEveryBackend:
+    @pytest.mark.parametrize("backend", ["thread", "process", "socket"])
+    def test_point_to_point_semantics(self, backend):
+        out = get_backend(backend).run(3, _p2p_semantics_prog, timeout=120.0)
+        for rank in out:
+            assert "out of range" in rank["dest_range"]
+        assert out[1]["out_of_order"] == ("first", "second")
+        assert out[1]["fifo"] == list(range(5))
+        assert "Recv buffer shape (4,) != message shape (3,)" in out[1]["shape"]
+        assert out[0]["any"] == [1, 2]
+        assert [rank["acct"] for rank in out] == [(800, 1), (0, 0), (0, 0)]
+
+
+class TestFaultMatrix:
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_killed_rank_fails_fast_and_cleans_up(self, backend):
+        """A rank process that exits mid-run fails the world naming it,
+        within seconds rather than at the run guard, and leaves no
+        shared-memory segment behind."""
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        t0 = time.monotonic()
+        with pytest.raises((WorkerError, ProtocolViolation), match=r"rank 1\b") as ei:
+            get_backend(backend).run(2, _killed_prog, timeout=60.0)
+        assert time.monotonic() - t0 < 10.0
+        assert "startup" not in str(ei.value)
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
+
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_unpicklable_rank_function_is_named(self, backend):
+        """A rank function the spawn start method cannot pickle fails
+        with the pickling error itself, and the launcher still cleans up
+        (no half-started world to reap, no arena left behind)."""
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            get_backend(backend).run(2, lambda comm: comm.rank, timeout=60.0)
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
+

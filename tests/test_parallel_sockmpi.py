@@ -32,12 +32,8 @@ from repro.parallel.frames import (
 )
 from repro.parallel.parallel_solver import run_parallel_dynamo
 from repro.parallel.simmpi import SimMPI, SimMPIError
-from repro.parallel.sockmpi import (
-    SockMPI,
-    SockWorkerError,
-    _recv_exactly_fn,
-    worker_join,
-)
+from repro.parallel.sockmpi import SockMPI, _recv_exactly_fn, worker_join
+from repro.parallel.transport import WorkerError
 
 _PREFIX = struct.Struct("<IBI")
 _PLEN = struct.Struct("<Q")
@@ -282,12 +278,12 @@ class TestSpawnedWorld:
         """A worker dying mid-run (hard exit, no RESULT) must surface as
         a protocol failure on the coordinator — with the surviving rank
         released by the ABORT broadcast, not deadlocked in Recv."""
-        with pytest.raises((ProtocolViolation, SockWorkerError),
+        with pytest.raises((ProtocolViolation, WorkerError),
                            match="connection failed mid-run|rank 1"):
             SockMPI().run(2, _dying_prog, timeout=30.0)
 
     def test_is_simmpi_error_family(self):
-        assert issubclass(SockWorkerError, SimMPIError)
+        assert issubclass(WorkerError, SimMPIError)
 
 
 class TestSocketDynamo:

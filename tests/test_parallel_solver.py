@@ -198,7 +198,44 @@ def _contract_program(world, config, steps):
     return dict(solver.phase_seconds), {k: callable(v) for k, v in hooks.items()}
 
 
+def _launcher_contract_program(world, token):
+    """What the frozen benchmark's rank programs use of the communicator:
+    split, barrier and blocking Send/Recv."""
+    panel = world.split(color=0, key=world.rank)
+    world.barrier()
+    other = 1 - world.rank
+    world.Send(np.full(2, token + world.rank), dest=other, tag=1)
+    got = world.Recv(source=other, tag=1)
+    return panel.size, float(got[0])
+
+
 class TestBenchmarkContract:
+    def test_e2e_launcher_contract(self):
+        """``benchmarks/e2e/`` is frozen and drives the launcher registry
+        through exactly these calls: ``detect()`` read as ``.name``,
+        ``.available``, ``.detail`` and ``.capabilities.self_launch``;
+        ``get_backend(name).run(2, fn, timeout=60.0)`` for every
+        self-launching backend (its ping-pong);
+        ``get_backend("thread").run(...)`` with ``split``/``barrier``/
+        ``Send``/``Recv`` (its message counts); and
+        ``get_backend("process").run(2, fn, *args, timeout=120.0)``
+        (parallel-2rank).  Changing any of them fails the benchmark run."""
+        from repro.parallel import backends as launchers
+
+        expected = [(2, 11.0), (2, 10.0)]
+        infos = launchers.detect()
+        assert [info.name for info in infos] == ["thread", "process", "socket"]
+        for info in infos:
+            assert info.available, info.detail
+            assert isinstance(info.detail, str) and info.detail
+            assert info.capabilities.self_launch is True
+            assert launchers.get_backend(info.name).run(
+                2, _launcher_contract_program, 10.0, timeout=60.0,
+            ) == expected
+        assert launchers.get_backend("process").run(
+            2, _launcher_contract_program, 10.0, timeout=120.0,
+        ) == expected
+
     def test_e2e_benchmark_contract(self, config):
         """``benchmarks/e2e/workloads.py`` is frozen and reads these
         solver attributes: ``overlap`` for its run metadata,
