@@ -8,10 +8,11 @@ protocol.  This package makes those rules checkable:
 :mod:`repro.checkers.hotpath`
     The ``@hot_path`` marker decorating allocation-free kernels.
 :mod:`repro.checkers.linter`
-    AST lint pass (``repro-paper lint``) with the codebase-specific
-    rules REP001-REP004 — hot-path allocations, ``move=True`` buffer
-    ownership, send/receive tag-shape matching, rank-dependent
-    collectives.
+    The one lint core (``repro-paper lint``): the ``RULES`` table
+    (code -> summary, check), the single driver ``lint_paths`` /
+    ``lint_source`` (one parse per file, the cross-file call registry
+    in the same first pass, noqa applied once) and the hot-path
+    allocation rule REP001.
 :mod:`repro.checkers.sanitize`
     Runtime sanitizers behind ``REPRO_SANITIZE=1`` — NaN-poisoned
     buffer releases, read-only move-handoff payloads, and the
@@ -19,19 +20,16 @@ protocol.  This package makes those rules checkable:
     collective-sequence divergence).
 :mod:`repro.checkers.shapes`
     The shape/dtype annotation vocabulary (``Array``/``Float64``/
-    ``Float32``) and the symbolic shape-inference lint rules
-    REP005-REP008 (``repro-paper lint --shapes``).
+    ``Float32``) the runtime contracts enforce.
 :mod:`repro.checkers.contracts`
     Runtime shape contracts behind ``REPRO_CONTRACTS=1`` — the
     ``@contract`` decorator validating annotated boundaries, a no-op
     (the undecorated function itself) when disabled.
 :mod:`repro.checkers.schedule`
-    The concurrency analyzer (``repro-paper lint --schedule``,
-    ``repro-paper analyze deadlock``) — a schedule model checker over
-    lifted per-rank comm-event programs proving deadlock-freedom or
-    producing a minimal blocked-cycle witness, plus the rules
-    REP010-REP011 (provable deadlock, send-buffer write before the
-    request wait; REP012 is retired).
+    The concurrency analyzer (``repro-paper analyze deadlock``) — a
+    schedule model checker over the solver's per-rank comm-event
+    programs, proving deadlock-freedom or producing a minimal
+    blocked-cycle witness.
 :mod:`repro.checkers.hb`
     The dynamic happens-before layer — vector clocks, in-flight
     buffer-window race detection for the thread backend, and the
@@ -51,11 +49,11 @@ protocol.  This package makes those rules checkable:
     to (step, panel, field), and the shared test assertion
     :func:`~repro.checkers.fingerprint.assert_bitwise_equal`.  Drives
     ``repro-paper verify-bitwise``.
-:mod:`repro.checkers.driver`
-    The single-pass lint driver: all four rule families (REP001-REP016)
-    over one shared AST parse per file — what ``repro-paper lint``
-    runs by default.
 """
+
+# the lint core first: the determinism rules import its helpers, and
+# its rule table imports them
+from repro.checkers.linter import RULES, Violation, lint_paths, lint_source
 
 from repro.checkers.contracts import (
     ContractViolation,
@@ -63,12 +61,6 @@ from repro.checkers.contracts import (
     contract,
     contracts_enabled,
 )
-from repro.checkers.determinism import (
-    DETERMINISM_RULES,
-    determinism_lint_paths,
-    determinism_lint_source,
-)
-from repro.checkers.driver import ALL_RULES, lint_all_paths
 from repro.checkers.fingerprint import (
     Divergence,
     Fingerprint,
@@ -87,17 +79,12 @@ from repro.checkers.hb import (
     merge_clocks,
 )
 from repro.checkers.hotpath import hot_path
-from repro.checkers.linter import Violation, lint_paths, lint_source
 from repro.checkers.schedule import (
-    SCHEDULE_RULES,
     Op,
     Verdict,
     Witness,
     check_deadlock_free,
     dynamo_step_programs,
-    lift_function,
-    schedule_lint_paths,
-    schedule_lint_source,
 )
 from repro.checkers.sanitize import (
     DoubleRelease,
@@ -108,20 +95,14 @@ from repro.checkers.sanitize import (
     sanitize_enabled,
 )
 from repro.checkers.shapes import (
-    SHAPE_RULES,
     Array,
     Float32,
     Float64,
     ShapeSpec,
-    shape_lint_paths,
-    shape_lint_source,
 )
 
 __all__ = [
-    "ALL_RULES",
-    "DETERMINISM_RULES",
-    "SCHEDULE_RULES",
-    "SHAPE_RULES",
+    "RULES",
     "Array",
     "ContractViolation",
     "Divergence",
@@ -145,8 +126,6 @@ __all__ = [
     "check_deadlock_free",
     "contract",
     "contracts_enabled",
-    "determinism_lint_paths",
-    "determinism_lint_source",
     "dominates",
     "dynamo_step_programs",
     "field_digest",
@@ -154,16 +133,10 @@ __all__ = [
     "first_divergence",
     "hot_path",
     "last_protocol_report",
-    "lift_function",
-    "lint_all_paths",
     "lint_paths",
     "lint_source",
     "merge_clocks",
     "state_digests",
     "states_root_digest",
     "sanitize_enabled",
-    "schedule_lint_paths",
-    "schedule_lint_source",
-    "shape_lint_paths",
-    "shape_lint_source",
 ]

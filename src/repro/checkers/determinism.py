@@ -30,8 +30,8 @@ REP015 — *ambient nondeterminism in numerics paths.*
     explicitly *seeded* ``np.random.default_rng(seed)`` is fine),
     ``hash()``, ``os.urandom`` and ``id()``-keyed mappings, in any
     function reachable from a ``@hot_path`` kernel through the
-    cross-file call registry this module builds (name-resolved, like
-    the shape registry of :mod:`repro.checkers.shapes`).
+    cross-file call registry this module builds (calls resolved by
+    name).
 
 REP016 — *FP-contraction and fast-math hazards in the C backend.*
     The compiled kernels mirror NumPy ufunc sequences rounding for
@@ -44,9 +44,10 @@ REP016 — *FP-contraction and fast-math hazards in the C backend.*
     re-association "optimization" — a source-level check, not just the
     flag).
 
-All four share the linter's per-line ``# repro: noqa-REPxxx`` escape
-hatch and ``file:line:col`` reporting, and accept a pre-parsed module
-via ``tree=`` so the single-pass driver parses each file exactly once.
+Each check takes the driver's :class:`~repro.checkers.linter.LintUnit`;
+:func:`collect` builds the cross-file call registry REP015 reads in the
+driver's first pass.  The rule table and the driver live in
+:mod:`repro.checkers.linter`.
 """
 
 from __future__ import annotations
@@ -54,37 +55,18 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 from repro.checkers.linter import (
-    _COLLECTIVES,
+    _NP_NAMES,
+    LintUnit,
+    Violation,
+    _base_name,
     _functions,
     _is_hot,
-    _iter_files,
-    _noqa_lines,
-    _parallel_scope,
-    Violation,
 )
 
-__all__ = [
-    "DETERMINISM_RULES",
-    "DeterminismRegistry",
-    "determinism_collect",
-    "determinism_lint_paths",
-    "determinism_lint_source",
-]
-
-#: Rule registry: code -> one-line description.
-DETERMINISM_RULES: dict[str, str] = {
-    "REP013": "iteration over an unordered set/dict feeds comm, FP "
-              "accumulation, or a schedule",
-    "REP014": "unordered floating-point reduction in a @hot_path function "
-              "or over gathered per-rank data",
-    "REP015": "ambient nondeterminism (time/random/hash/id) reachable from "
-              "a @hot_path kernel",
-    "REP016": "FP-contraction or fast-math hazard in the compiled-kernel "
-              "backend",
-}
+__all__ = ["Registry", "check_rep013", "check_rep014", "check_rep015",
+           "check_rep016", "collect"]
 
 
 # ---- REP013: unordered iteration feeding order-sensitive work ---------------------
@@ -92,7 +74,13 @@ DETERMINISM_RULES: dict[str, str] = {
 _SET_CALLS = {"set", "frozenset"}
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 _SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
-_COMM_CALLS = {"Send", "Isend", "Recv", "Irecv", "Sendrecv"} | _COLLECTIVES
+_COMM_CALLS = {
+    "Send", "Isend", "Recv", "Irecv", "Sendrecv",
+    "barrier", "bcast", "gather", "allgather", "allreduce", "alltoall",
+    "split", "dup",
+    "Barrier", "Bcast", "Gather", "Allgather", "Allreduce", "Alltoall",
+    "Reduce", "Scatter",
+}
 #: calls that materialize an iterable without imposing an order
 _ORDER_PRESERVING_WRAPPERS = {"list", "tuple", "iter", "reversed", "enumerate"}
 
@@ -224,13 +212,14 @@ def _loop_body_hazard(loop: ast.For) -> tuple[int, int, str] | None:
     return None
 
 
-def _check_rep013(tree: ast.AST, path: str) -> list[Violation]:
+def check_rep013(unit: LintUnit) -> list[Violation]:
+    tree, path = unit.tree, unit.path
     out: list[Violation] = []
-    scopes: list[ast.AST] = [tree, *(fn for fn in _functions(tree))]
+    scopes: list[ast.AST] = [tree, *(fn for fn, _ in _functions(tree))]
     for scope in scopes:
         unordered, unordered_dicts = _unordered_names(scope)
         in_functions = (
-            {id(n) for fn in _functions(tree) for n in ast.walk(fn)}
+            {id(n) for fn, _ in _functions(tree) for n in ast.walk(fn)}
             if scope is tree else set()
         )
         for loop in (n for n in ast.walk(scope) if isinstance(n, ast.For)):
@@ -254,7 +243,6 @@ def _check_rep013(tree: ast.AST, path: str) -> list[Violation]:
 
 # ---- REP014: unordered floating-point reductions ----------------------------------
 
-_NP_NAMES = {"np", "numpy"}
 _REDUCE_FUNCS = {
     "sum", "dot", "einsum", "matmul", "vdot", "inner", "prod",
     "nansum", "cumsum", "trace",
@@ -275,10 +263,10 @@ def _reduction_call(node: ast.Call) -> str | None:
     return None
 
 
-def _check_rep014(tree: ast.AST, path: str) -> list[Violation]:
+def check_rep014(unit: LintUnit) -> list[Violation]:
+    tree, path, parallel = unit.tree, unit.path, unit.parallel
     out: list[Violation] = []
-    parallel = _parallel_scope(tree, path)
-    for fn in _functions(tree):
+    for fn, _ in _functions(tree):
         hot = _is_hot(fn)
         gathered: set[str] = set()
         if parallel:
@@ -353,8 +341,8 @@ class _FnInfo:
     hazards: list[tuple[int, int, str, str]] = field(default_factory=list)
 
 
-class DeterminismRegistry:
-    """Cross-file registry: function name -> summaries (like shapes')."""
+class Registry:
+    """Cross-file registry: function name -> summaries."""
 
     def __init__(self) -> None:
         self.functions: dict[str, list[_FnInfo]] = {}
@@ -386,15 +374,6 @@ class DeterminismRegistry:
                         stack.append((callee, root))
         self._reachable = reach
         return reach
-
-
-def _call_name(node: ast.Call) -> str | None:
-    f = node.func
-    if isinstance(f, ast.Name):
-        return f.id
-    if isinstance(f, ast.Attribute):
-        return f.attr
-    return None
 
 
 def _ambient_hazards(fn: ast.AST) -> list[tuple[int, int, str, str]]:
@@ -450,31 +429,24 @@ def _is_id_call(node: ast.expr) -> bool:
     )
 
 
-def determinism_collect(
-    tree: ast.AST, path: str, registry: DeterminismRegistry
-) -> None:
-    """Phase 1: summarize every function for the cross-file REP015 pass."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                stmt._det_qual = f"{node.name}.{stmt.name}"  # type: ignore[attr-defined]
-    for fn in _functions(tree):
-        qual = getattr(fn, "_det_qual", fn.name)
+def collect(tree: ast.AST, path: str, registry: Registry) -> None:
+    """Summarize every function for the cross-file REP015 pass."""
+    for fn, cls in _functions(tree):
+        qual = f"{cls}.{fn.name}" if cls else fn.name
         info = _FnInfo(qualname=qual, path=path, hot=_is_hot(fn))
         for node in ast.walk(fn):
             if node is fn:
                 continue
             if isinstance(node, ast.Call):
-                name = _call_name(node)
+                name = _base_name(node.func)
                 if name is not None:
                     info.calls.add(name)
         info.hazards = _ambient_hazards(fn)
         registry.add(info)
 
 
-def _check_rep015(path: str, registry: DeterminismRegistry) -> list[Violation]:
+def check_rep015(unit: LintUnit) -> list[Violation]:
+    path, registry = unit.path, unit.calls
     out: list[Violation] = []
     reach = registry.reachable_from_hot()
     for infos in registry.functions.values():
@@ -589,7 +561,8 @@ def _reassociated_accumulators(text: str) -> list[int]:
     return hits
 
 
-def _check_rep016(tree: ast.AST, path: str) -> list[Violation]:
+def check_rep016(unit: LintUnit) -> list[Violation]:
+    tree, path = unit.tree, unit.path
     out: list[Violation] = []
     for node, flags in _compile_arg_lists(tree):
         for f in flags:
@@ -655,66 +628,3 @@ def _check_rep016(tree: ast.AST, path: str) -> list[Violation]:
                 "changes the rounding sequence",
             ))
     return out
-
-
-# ---- drivers ---------------------------------------------------------------------
-
-
-def determinism_lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Sequence[str] | None = None,
-    *,
-    tree: ast.AST | None = None,
-    registry: DeterminismRegistry | None = None,
-) -> list[Violation]:
-    """Run REP013-REP016 over one file's source.
-
-    ``registry`` carries the cross-file REP015 call graph; when omitted
-    a single-file registry is built on the spot.  ``tree`` accepts a
-    pre-parsed module (the single-pass driver's shared parse).
-    """
-    if tree is None:
-        tree = ast.parse(source, filename=path)
-    selected = set(rules) if rules is not None else set(DETERMINISM_RULES)
-    reg = registry
-    if reg is None:
-        reg = DeterminismRegistry()
-        determinism_collect(tree, path, reg)
-    found: list[Violation] = []
-    if "REP013" in selected:
-        found.extend(_check_rep013(tree, path))
-    if "REP014" in selected:
-        found.extend(_check_rep014(tree, path))
-    if "REP015" in selected:
-        found.extend(_check_rep015(path, reg))
-    if "REP016" in selected:
-        found.extend(_check_rep016(tree, path))
-    noqa = _noqa_lines(source)
-    kept = {v for v in found if v.rule not in noqa.get(v.line, set())}
-    return sorted(kept, key=lambda v: (v.path, v.line, v.col, v.rule, v.message))
-
-
-def determinism_lint_paths(
-    paths: Sequence[str], rules: Sequence[str] | None = None
-) -> tuple[list[Violation], int]:
-    """Lint files/directories with one cross-file call registry.
-
-    Returns ``(violations, files seen)`` like the other lint families.
-    """
-    files = _iter_files(paths)
-    reg = DeterminismRegistry()
-    parsed: list[tuple[str, str, ast.AST]] = []
-    for f in files:
-        source = f.read_text()
-        tree = ast.parse(source, filename=str(f))
-        determinism_collect(tree, str(f), reg)
-        parsed.append((source, str(f), tree))
-    violations: list[Violation] = []
-    for source, path, tree in parsed:
-        violations.extend(
-            determinism_lint_source(
-                source, path, rules=rules, tree=tree, registry=reg
-            )
-        )
-    return violations, len(files)

@@ -10,16 +10,13 @@ check.  Three behaviours turn on:
   and a double ``give()`` of the same array raises
   :class:`DoubleRelease`.
 * ``Send(..., move=True)`` flips the payload's ``writeable`` flag off,
-  so a write-after-move raises ``ValueError`` at the offending store
-  (the NumPy equivalent of the REP002 lint rule, but at runtime and for
-  payloads the dataflow analysis cannot see).
+  so a write-after-move raises ``ValueError`` at the offending store.
 * Communicators record the message protocol; at world finalize the
   recorder checks for unmatched sends (a message no receive drained),
-  tag collisions, per-rank collective-sequence divergence (the
-  deadlock REP004 lints against), and unwaited non-blocking requests
-  (an ``Isend``/``Irecv`` handle that was never ``Wait``-ed — the
-  runtime counterpart of the REP009 lint rule, catching the dynamic
-  paths the lexical check cannot see).  Any finding raises
+  tag collisions, per-rank collective-sequence divergence (a
+  collective under a rank-dependent branch), and unwaited non-blocking
+  requests (an ``Isend``/``Irecv`` handle that was never
+  ``Wait``-ed).  Any finding raises
   :class:`ProtocolViolation` from ``SimMPI.run``; the full report stays
   inspectable through :func:`last_protocol_report`.
 
@@ -175,7 +172,7 @@ class ProtocolReport:
         for r in self.unwaited_requests:
             lines.append(
                 f"  unwaited request {r['kind']} opened at {r['site']} "
-                f"(never Wait-ed; see REP009)"
+                f"(never Wait-ed)"
             )
         for rc in self.races:
             lines.append(

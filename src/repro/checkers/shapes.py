@@ -1,82 +1,23 @@
-"""Symbolic array-shape and dtype contracts (vocabulary + static lint).
+"""Symbolic array-shape and dtype annotations.
 
 The paper's yycore moves every field through a fixed shape grammar —
 per-panel ``(nr, nth, nph)`` prognostic arrays, packed ``(8, nr, m)``
 overset messages, ``(nfields, nr, ...)`` halo buffers — and on the
 Earth Simulator a shape mismatch was a Fortran compile-time error.  In
 the NumPy port it silently broadcasts or dies deep in a stencil.  This
-module restores the compile-time check:
+module is the annotation vocabulary — ``Array["nr", "nth", "nph"]``,
+``Float64[8, "nr", "m"]``, ``Float32[...]`` — plain typing aliases with
+zero import-time cost (a cached tuple per distinct spec), which
+:mod:`repro.checkers.contracts` enforces on live values under
+``REPRO_CONTRACTS=1``.
 
-* an **annotation vocabulary** — ``Array["nr", "nth", "nph"]``,
-  ``Float64[8, "nr", "m"]``, ``Float32[...]`` — plain typing aliases
-  with zero import-time cost (a cached tuple per distinct spec);
-* a **static shape-inference pass** (rules REP005-REP008, same
-  ``Violation``/noqa/JSON machinery as :mod:`repro.checkers.linter`)
-  that propagates symbolic dims through assignments, NumPy builtins
-  (``empty``/``zeros_like``/``reshape``/``transpose``/``stack``/...)
-  and annotated call boundaries.
-
-Dimensions are *symbols*: two occurrences of ``"nr"`` in one function
-(or one call boundary) must agree; distinct symbols meeting in the same
-axis is a provable mismatch.  Unknown shapes are silent — the pass
-only reports what it can prove from annotations and literal
-allocations, so un-annotated code costs nothing.
-
-REP005 — *provable dimension mismatch.*
-    Two known shapes meet — elementwise op, annotated call boundary,
-    ``out=`` buffer, return statement — and some axis pairs two
-    different literals or two different symbols (``("nr", "nth")``
-    against ``("nth", "nr")``), or a spec symbol would be bound to two
-    different dims across the arguments of one call.
-
-REP006 — *implicit rank-changing broadcast.*
-    Two known-shape arrays of different (nonzero) rank combine and
-    NumPy would silently align them from the trailing axis.  The
-    codebase's shape grammar lifts explicitly (``x[None, :, None]``,
-    ``(nr, 1, 1)`` metric factors) — equal-rank broadcasting over
-    literal-1 axes is idiomatic and never flagged.
-
-REP007 — *float64<->float32 dtype drift across an annotated boundary.*
-    A ``float32`` value flows where a ``Float64`` annotation promises
-    64-bit (poisoning downstream precision), or a float64 result lands
-    in a ``float32``-annotated slot / ``out=`` buffer (silent
-    downcast).
-
-REP008 — *reshape/transpose/stack inconsistent with inferred shape.*
-    ``reshape`` changes the provable element count (symbol multiset +
-    literal product), ``transpose`` axes are not a permutation of the
-    inferred rank, or ``stack``/``concatenate`` joins provably
-    different element shapes.  ``reshape(-1, ...)`` and partially
-    unknown shapes are skipped.
+Dimensions are *symbols*: two occurrences of ``"nr"`` in one call
+boundary must agree.
 """
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
-from math import prod
-from pathlib import Path
-from collections.abc import Sequence
-
-from repro.checkers.linter import Violation, _iter_files, _noqa_lines
-
-__all__ = [
-    "Array",
-    "Float32",
-    "Float64",
-    "SHAPE_RULES",
-    "ShapeSpec",
-    "shape_lint_paths",
-    "shape_lint_source",
-]
-
-#: Shape-rule registry: code -> one-line description.
-SHAPE_RULES: dict[str, str] = {
-    "REP005": "provable symbolic dimension mismatch at an operation or annotated boundary",
-    "REP006": "implicit rank-changing broadcast between known-shape arrays",
-    "REP007": "float64<->float32 dtype drift across an annotated boundary",
-    "REP008": "reshape/transpose/stack inconsistent with the inferred symbolic shape",
-}
+__all__ = ["Array", "Float32", "Float64", "ShapeSpec"]
 
 
 # ---- annotation vocabulary -------------------------------------------------------
@@ -176,1323 +117,3 @@ class _TupleSpec:
 
     def __init__(self, specs: tuple[ShapeSpec, ...]):
         self.specs = specs
-
-
-# ---- inferred-value lattice ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Info:
-    """What the pass knows about one value.
-
-    ``shape`` entries are ``int``, ``str`` (symbol) or ``None``
-    (unknown axis); ``shape=None`` means rank unknown.  ``elements``
-    carries tuple-literal element infos, ``elem`` a homogeneous
-    sequence's element, ``dims_value`` a value usable *as* a shape
-    (``x.shape``, literal dim tuples) and ``obj`` a class name with
-    registered field specs.
-    """
-
-    shape: tuple | None = None
-    dtype: str | None = None
-    elements: tuple | None = None
-    elem: _Info | None = None
-    dims_value: tuple | None = None
-    obj: str | None = None
-
-
-_UNK = _Info()
-_INT = _Info(shape=(), dtype="int")
-_FLOAT = _Info(shape=(), dtype="float64")
-_BOOL = _Info(shape=(), dtype="bool")
-
-
-def _info_from_spec(spec: ShapeSpec) -> _Info:
-    if Ellipsis in spec.dims:
-        return _Info(shape=None, dtype=spec.dtype)
-    return _Info(shape=spec.dims, dtype=spec.dtype)
-
-
-# ---- annotation parsing (AST side) -----------------------------------------------
-
-_FACTORY_DTYPES = {"Array": None, "Float64": "float64", "Float32": "float32"}
-_SEQ_NAMES = {"Sequence", "Iterable", "list", "List", "tuple", "Tuple"}
-
-
-def _is_none_node(node: ast.AST) -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
-
-
-def _base_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _parse_spec_dims(node: ast.AST) -> tuple | None:
-    elts = node.elts if isinstance(node, ast.Tuple) else [node]
-    dims = []
-    for e in elts:
-        if isinstance(e, ast.Constant) and isinstance(e.value, (int, str)):
-            if isinstance(e.value, bool):
-                return None
-            dims.append(e.value)
-        elif isinstance(e, ast.Constant) and e.value is Ellipsis:
-            dims.append(Ellipsis)
-        else:
-            return None
-    return tuple(dims)
-
-
-def _ann_spec(node: ast.AST | None):
-    """Parse an annotation AST into a spec, or ``None`` if not ours."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        inner = None
-        if _is_none_node(node.right):
-            inner = _ann_spec(node.left)
-        elif _is_none_node(node.left):
-            inner = _ann_spec(node.right)
-        if isinstance(inner, ShapeSpec):
-            return ShapeSpec(inner.dims, inner.dtype, optional=True)
-        return None
-    if not isinstance(node, ast.Subscript):
-        return None
-    name = _base_name(node.value)
-    if name in _FACTORY_DTYPES:
-        dims = _parse_spec_dims(node.slice)
-        if dims is None:
-            return None
-        try:
-            return ShapeSpec(dims, _FACTORY_DTYPES[name])
-        except TypeError:
-            return None
-    if name in _SEQ_NAMES:
-        inner_nodes = (
-            list(node.slice.elts) if isinstance(node.slice, ast.Tuple) else [node.slice]
-        )
-        # drop the `...` of tuple[X, ...]
-        inner_nodes = [
-            n for n in inner_nodes
-            if not (isinstance(n, ast.Constant) and n.value is Ellipsis)
-        ]
-        specs = [_ann_spec(n) for n in inner_nodes]
-        if not specs or not all(isinstance(s, ShapeSpec) for s in specs):
-            return None
-        if len(specs) == 1:
-            return _SeqSpec(specs[0])
-        return _TupleSpec(tuple(specs))
-    return None
-
-
-# ---- cross-file registry ---------------------------------------------------------
-
-
-@dataclass
-class _FuncEntry:
-    params: tuple  # ((name, spec-or-None), ...) in declaration order
-    returns: object  # ShapeSpec | _TupleSpec | None
-    is_method: bool
-
-
-class _Registry:
-    """Annotated call boundaries and class field specs, possibly cross-file."""
-
-    def __init__(self):
-        self.funcs: dict[str, list[_FuncEntry]] = {}
-        self.classes: dict[str, dict[str, ShapeSpec]] = {}
-
-
-def _is_static(fn: ast.FunctionDef) -> bool:
-    return any(
-        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
-    )
-
-
-def _collect_function(fn, reg: _Registry, is_method: bool) -> None:
-    a = fn.args
-    named = list(a.posonlyargs) + list(a.args) + list(a.kwonlyargs)
-    params = tuple((p.arg, _ann_spec(p.annotation)) for p in named)
-    returns = _ann_spec(fn.returns)
-    if returns is None and not any(s is not None for _, s in params):
-        return
-    entry = _FuncEntry(params=params, returns=returns, is_method=is_method)
-    reg.funcs.setdefault(fn.name, []).append(entry)
-
-
-def _collect(tree: ast.Module, reg: _Registry) -> None:
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _collect_function(node, reg, is_method=False)
-        elif isinstance(node, ast.ClassDef):
-            fields = reg.classes.setdefault(node.name, {})
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    spec = _ann_spec(stmt.annotation)
-                    if isinstance(spec, ShapeSpec):
-                        fields[stmt.target.id] = spec
-                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    _collect_function(stmt, reg, is_method=not _is_static(stmt))
-            if not fields:
-                del reg.classes[node.name]
-
-
-# ---- dim algebra -----------------------------------------------------------------
-
-
-def _fmt_dim(d) -> str:
-    return "?" if d is None else (repr(d) if isinstance(d, str) else str(d))
-
-
-def _fmt_shape(shape: tuple) -> str:
-    return "(" + ", ".join(_fmt_dim(d) for d in shape) + ")"
-
-
-def _join_dim(a, b) -> tuple[object, bool]:
-    """Broadcast-join two dims -> (joined, provable_conflict)."""
-    if a == b:
-        return a, False
-    if a == 1:
-        return b, False
-    if b == 1:
-        return a, False
-    if a is None or b is None:
-        return None, False
-    if isinstance(a, int) and isinstance(b, int):
-        return None, True
-    if isinstance(a, str) and isinstance(b, str):
-        return None, True
-    return None, False  # int vs symbol: unprovable
-
-
-def _eq_dim_conflict(a, b) -> bool:
-    """Provable inequality *without* broadcast lifting (stack/out= checks)."""
-    if a is None or b is None or a == b:
-        return False
-    if isinstance(a, int) and isinstance(b, int):
-        return True
-    return isinstance(a, str) and isinstance(b, str)
-
-
-_NUM_ORDER = {"bool": 0, "int": 1, "float32": 2, "float64": 3, "complex128": 4}
-
-
-def _promote(li: _Info, ri: _Info, *, division: bool = False) -> str | None:
-    a, b = li.dtype, ri.dtype
-    if a is None or b is None:
-        return None
-    if a == b:
-        result = a
-    elif a not in _NUM_ORDER or b not in _NUM_ORDER:
-        return None
-    elif {a, b} == {"float32", "int"}:
-        # a python-int *scalar* keeps float32; an int array promotes
-        int_side = li if a == "int" else ri
-        result = "float32" if int_side.shape == () else "float64"
-    else:
-        result = a if _NUM_ORDER[a] >= _NUM_ORDER[b] else b
-    if division and result in ("int", "bool"):
-        result = "float64"
-    return result
-
-
-# ---- the per-function analyzer ---------------------------------------------------
-
-_ARITH = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
-
-_NP_ZEROS = {"zeros", "ones", "empty", "full"}
-_NP_LIKE = {"zeros_like", "ones_like", "empty_like", "full_like"}
-_NP_PASS = {"asarray", "ascontiguousarray", "asfortranarray", "array", "copy"}
-_NP_BINARY = {
-    "add", "subtract", "multiply", "divide", "true_divide", "power",
-    "maximum", "minimum", "hypot", "arctan2", "fmax", "fmin",
-}
-_NP_UNARY = {
-    "sqrt", "exp", "log", "log2", "log10", "sin", "cos", "tan",
-    "sinh", "cosh", "tanh", "arcsin", "arccos", "arctan",
-    "abs", "absolute", "fabs", "negative", "square", "reciprocal",
-    "floor", "ceil", "sign", "conj",
-}
-_NP_REDUCE = {"sum", "mean", "min", "max", "prod", "std", "var", "amin", "amax"}
-_DTYPE_NAMES = {
-    "float64": "float64", "float32": "float32", "float16": "float16",
-    "int64": "int", "int32": "int", "intp": "int", "int_": "int",
-    "bool_": "bool", "complex128": "complex128",
-    "double": "float64", "single": "float32",
-}
-
-
-class _FunctionAnalyzer:
-    """Runs symbolic inference over one function body."""
-
-    def __init__(
-        self,
-        fn: ast.FunctionDef,
-        path: str,
-        reg: _Registry,
-        out: list[Violation],
-        class_name: str | None = None,
-    ):
-        self.fn = fn
-        self.path = path
-        self.reg = reg
-        self.out = out
-        self.returns = _ann_spec(fn.returns)
-        #: function-wide spec-symbol binding (params pre-bind their own
-        #: symbols, so a `return` or local annotation reusing "nr" is
-        #: checked against the parameter that introduced it)
-        self.binding: dict[str, object] = {}
-        env: dict[str, _Info] = {}
-        a = fn.args
-        named = list(a.posonlyargs) + list(a.args) + list(a.kwonlyargs)
-        is_method = class_name is not None and not _is_static(fn)
-        for i, p in enumerate(named):
-            if i == 0 and is_method and p.arg in ("self", "cls"):
-                if class_name in reg.classes:
-                    env[p.arg] = _Info(obj=class_name)
-                continue
-            spec = _ann_spec(p.annotation)
-            if isinstance(spec, ShapeSpec):
-                env[p.arg] = _info_from_spec(spec)
-                self._seed_symbols(spec)
-            elif isinstance(spec, _SeqSpec):
-                env[p.arg] = _Info(elem=_info_from_spec(spec.spec))
-                self._seed_symbols(spec.spec)
-            elif isinstance(p.annotation, ast.Name) and p.annotation.id in reg.classes:
-                env[p.arg] = _Info(obj=p.annotation.id)
-        self.env = env
-
-    def _seed_symbols(self, spec: ShapeSpec) -> None:
-        for d in spec.dims:
-            if isinstance(d, str):
-                self.binding[d] = d
-
-    def run(self) -> None:
-        self._exec(self.fn.body, self.env)
-
-    # ---- violations ---------------------------------------------------------
-
-    def _emit(self, rule: str, node: ast.AST, msg: str, sink=None) -> None:
-        v = Violation(rule, self.path, node.lineno, node.col_offset, msg)
-        (self.out if sink is None else sink).append(v)
-
-    # ---- statements ---------------------------------------------------------
-
-    def _exec(self, stmts: Sequence[ast.stmt], env: dict) -> None:
-        for node in stmts:
-            self._exec_stmt(node, env)
-
-    def _exec_stmt(self, node: ast.stmt, env: dict) -> None:
-        if isinstance(node, ast.Assign):
-            info = self._infer(node.value, env)
-            for t in node.targets:
-                self._assign(t, info, env)
-        elif isinstance(node, ast.AnnAssign):
-            spec = _ann_spec(node.annotation)
-            info = self._infer(node.value, env) if node.value else None
-            if isinstance(spec, ShapeSpec):
-                if info is not None:
-                    self._unify_spec(
-                        spec, info, self.binding, node,
-                        f"annotated assignment ({spec!r})",
-                    )
-                self._seed_symbols(spec)
-                if isinstance(node.target, ast.Name):
-                    declared = _info_from_spec(spec)
-                    if declared.dtype is None and info is not None:
-                        declared = _Info(declared.shape, info.dtype)
-                    env[node.target.id] = declared
-            elif info is not None:
-                self._assign(node.target, info, env)
-        elif isinstance(node, ast.AugAssign):
-            t = self._infer(node.target, env)
-            v = self._infer(node.value, env)
-            if isinstance(node.op, _ARITH):
-                self._combine(t, v, node, division=isinstance(node.op, ast.Div))
-        elif isinstance(node, ast.Return):
-            if node.value is not None:
-                info = self._infer(node.value, env)
-                if isinstance(self.returns, ShapeSpec):
-                    self._unify_spec(
-                        self.returns, info, self.binding, node,
-                        f"return value of {self.fn.name}()",
-                    )
-                elif isinstance(self.returns, _TupleSpec) and info.elements is not None:
-                    if len(info.elements) == len(self.returns.specs):
-                        for s, e in zip(self.returns.specs, info.elements):
-                            self._unify_spec(
-                                s, e, self.binding, node,
-                                f"return value of {self.fn.name}()",
-                            )
-        elif isinstance(node, ast.Expr):
-            self._infer(node.value, env)
-        elif isinstance(node, ast.If):
-            self._infer(node.test, env)
-            self._exec_branches(env, [node.body, node.orelse])
-        elif isinstance(node, ast.While):
-            self._infer(node.test, env)
-            self._exec_branches(env, [node.body, []])
-            if node.orelse:
-                self._exec(node.orelse, env)
-        elif isinstance(node, ast.For):
-            it = self._infer(node.iter, env)
-            elem = it.elem if it.elem is not None else _UNK
-            pre = dict(env)
-            self._assign(node.target, elem, pre)
-            self._exec(node.body, pre)
-            self._merge_into(env, [pre, dict(env)])
-            if node.orelse:
-                self._exec(node.orelse, env)
-        elif isinstance(node, ast.With):
-            for item in node.items:
-                self._infer(item.context_expr, env)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, _UNK, env)
-            self._exec(node.body, env)
-        elif isinstance(node, ast.Try):
-            body_env = dict(env)
-            self._exec(node.body, body_env)
-            branch_envs = [body_env]
-            for h in node.handlers:
-                h_env = dict(env)
-                self._exec(h.body, h_env)
-                branch_envs.append(h_env)
-            self._merge_into(env, branch_envs)
-            if node.orelse:
-                self._exec(node.orelse, env)
-            if node.finalbody:
-                self._exec(node.finalbody, env)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _FunctionAnalyzer(node, self.path, self.reg, self.out).run()
-        elif isinstance(node, ast.Assert):
-            self._infer(node.test, env)
-        elif isinstance(node, ast.Raise):
-            if node.exc is not None:
-                self._infer(node.exc, env)
-        elif isinstance(node, ast.Delete):
-            for t in node.targets:
-                if isinstance(t, ast.Name):
-                    env.pop(t.id, None)
-        # Import/Global/Pass/Break/Continue/ClassDef: nothing to infer
-
-    def _assign(self, target: ast.AST, info: _Info, env: dict) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = info
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            elems = info.elements
-            if elems is not None and len(elems) == len(target.elts) and not any(
-                isinstance(t, ast.Starred) for t in target.elts
-            ):
-                for t, e in zip(target.elts, elems):
-                    self._assign(t, e, env)
-            else:
-                fallback = info.elem if info.elem is not None else _UNK
-                for t in target.elts:
-                    self._assign(t, fallback, env)
-        elif isinstance(target, ast.Starred):
-            self._assign(target.value, _UNK, env)
-        elif isinstance(target, ast.Subscript):
-            self._check_store(target, info, env)
-        # Attribute targets: object state is not tracked
-
-    def _check_store(self, target: ast.Subscript, info: _Info, env: dict) -> None:
-        """``x[sl] = value`` — flag only provable trailing-dim conflicts.
-
-        Stores broadcast the value into the slot, and row-assignments
-        (``arr[:, :] = row``) are idiomatic, so rank changes are legal
-        here; only a dim that can't match either way is an error.
-        """
-        base = self._infer(target.value, env)
-        if base.shape is None or info.shape is None:
-            return
-        items = (
-            list(target.slice.elts)
-            if isinstance(target.slice, ast.Tuple)
-            else [target.slice]
-        )
-        slot = _index_shape(base.shape, items)
-        if slot is None:
-            return
-        for i, (a, b) in enumerate(zip(reversed(slot), reversed(info.shape))):
-            _, conflict = _join_dim(a, b)
-            if conflict:
-                self._emit(
-                    "REP005", target,
-                    f"storing a value with trailing axis {_fmt_dim(b)} into a "
-                    f"slot of shape {_fmt_shape(slot)} (axis {len(slot) - 1 - i} "
-                    f"is {_fmt_dim(a)})",
-                )
-
-    def _exec_branches(self, env: dict, blocks: list) -> None:
-        outs = []
-        for b in blocks:
-            e = dict(env)
-            self._exec(b, e)
-            outs.append(e)
-        self._merge_into(env, outs)
-
-    @staticmethod
-    def _merge_into(env: dict, branch_envs: list[dict]) -> None:
-        keys = set()
-        for e in branch_envs:
-            keys.update(e)
-        for k in keys:
-            vals = [e.get(k) for e in branch_envs]
-            known = [v for v in vals if v is not None]
-            merged = known[0]
-            for v in known[1:]:
-                merged = _merge_info(merged, v)
-            env[k] = merged
-
-    # ---- expressions --------------------------------------------------------
-
-    def _infer(self, node: ast.AST, env: dict) -> _Info:
-        if isinstance(node, ast.Constant):
-            v = node.value
-            if isinstance(v, bool):
-                return _BOOL
-            if isinstance(v, int):
-                return _INT
-            if isinstance(v, float):
-                return _FLOAT
-            if isinstance(v, complex):
-                return _Info(shape=(), dtype="complex128")
-            return _UNK
-        if isinstance(node, ast.Name):
-            return env.get(node.id, _UNK)
-        if isinstance(node, ast.Attribute):
-            return self._infer_attribute(node, env)
-        if isinstance(node, ast.UnaryOp):
-            inner = self._infer(node.operand, env)
-            if isinstance(node.op, ast.Not):
-                return _BOOL
-            return inner
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, _ARITH):
-                li = self._infer(node.left, env)
-                ri = self._infer(node.right, env)
-                if (
-                    isinstance(node.op, ast.Add)
-                    and li.elements is not None
-                    and ri.elements is not None
-                ):
-                    dims = None
-                    if li.dims_value is not None and ri.dims_value is not None:
-                        dims = li.dims_value + ri.dims_value
-                    return _Info(
-                        elements=li.elements + ri.elements, dims_value=dims
-                    )
-                return self._combine(
-                    li, ri, node, division=isinstance(node.op, ast.Div)
-                )
-            return _UNK
-        if isinstance(node, ast.BoolOp):
-            for v in node.values:
-                self._infer(v, env)
-            return _BOOL
-        if isinstance(node, ast.Compare):
-            self._infer(node.left, env)
-            for c in node.comparators:
-                self._infer(c, env)
-            return _UNK
-        if isinstance(node, ast.IfExp):
-            self._infer(node.test, env)
-            return _merge_info(
-                self._infer(node.body, env), self._infer(node.orelse, env)
-            )
-        if isinstance(node, (ast.Tuple, ast.List)):
-            infos = tuple(self._infer(e, env) for e in node.elts)
-            dims = self._dims_of_literal(node, env)
-            return _Info(elements=infos, dims_value=dims)
-        if isinstance(node, ast.Subscript):
-            return self._infer_subscript(node, env)
-        if isinstance(node, ast.Call):
-            return self._infer_call(node, env)
-        if isinstance(node, ast.Starred):
-            self._infer(node.value, env)
-            return _UNK
-        return _UNK
-
-    def _infer_attribute(self, node: ast.Attribute, env: dict) -> _Info:
-        v = self._infer(node.value, env)
-        if node.attr == "T" and v.shape is not None:
-            return _Info(v.shape[::-1], v.dtype)
-        if node.attr == "shape" and v.shape is not None:
-            return _Info(
-                elements=tuple(_INT for _ in v.shape), dims_value=v.shape
-            )
-        if node.attr in ("real", "imag") and v.shape is not None:
-            dt = "float64" if v.dtype == "complex128" else v.dtype
-            return _Info(v.shape, dt)
-        if v.obj is not None:
-            spec = self.reg.classes.get(v.obj, {}).get(node.attr)
-            if spec is not None:
-                return _info_from_spec(spec)
-        return _UNK
-
-    # ---- dims extraction ----------------------------------------------------
-
-    def _dim_from_expr(self, node: ast.AST, env: dict):
-        """One shape-tuple element -> int, symbol string or None."""
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, int) and not isinstance(node.value, bool):
-                return node.value
-            return None
-        if (
-            isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, ast.USub)
-            and isinstance(node.operand, ast.Constant)
-            and isinstance(node.operand.value, int)
-        ):
-            return -node.operand.value
-        if isinstance(node, ast.Name):
-            return node.id
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "shape"
-            and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, int)
-        ):
-            base = self._infer(node.value.value, env)
-            if base.shape is not None:
-                i = node.slice.value
-                if -len(base.shape) <= i < len(base.shape):
-                    return base.shape[i]
-        try:
-            sym = ast.unparse(node)
-        except Exception:
-            return None
-        return sym if len(sym) <= 40 else None
-
-    def _dims_of_literal(self, node, env) -> tuple | None:
-        dims = []
-        for e in node.elts:
-            if isinstance(e, ast.Starred):
-                return None
-            dims.append(self._dim_from_expr(e, env))
-        return tuple(dims)
-
-    def _dims_from_expr(self, node: ast.AST, env: dict) -> tuple | None:
-        """A whole shape argument -> dims tuple, or None if rank unknown."""
-        if isinstance(node, (ast.Tuple, ast.List)):
-            return self._dims_of_literal(node, env)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, int) and not isinstance(node.value, bool):
-                return (node.value,)
-            return None
-        if isinstance(node, ast.Name):
-            info = env.get(node.id)
-            if info is not None:
-                if info.dims_value is not None:
-                    return info.dims_value
-                if info.shape == () and info.dtype == "int":
-                    return (node.id,)
-            return None
-        info = self._infer(node, env)
-        return info.dims_value
-
-    def _dtype_from_expr(self, node: ast.AST | None) -> str | None:
-        if node is None:
-            return None
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return _DTYPE_NAMES.get(node.value, node.value)
-        name = _base_name(node)
-        if name == "float":
-            return "float64"
-        if name == "int":
-            return "int"
-        if name == "bool":
-            return "bool"
-        if name is not None and name in _DTYPE_NAMES:
-            return _DTYPE_NAMES[name]
-        return None
-
-    # ---- combination (REP005/REP006) ----------------------------------------
-
-    def _combine(
-        self, li: _Info, ri: _Info, node: ast.AST, *,
-        division: bool = False, sink=None,
-    ) -> _Info:
-        dtype = _promote(li, ri, division=division)
-        ls, rs = li.shape, ri.shape
-        if ls is None or rs is None:
-            return _Info(None, dtype)
-        if ls == ():
-            return _Info(rs, dtype)
-        if rs == ():
-            return _Info(ls, dtype)
-        if len(ls) == len(rs):
-            dims = []
-            for i, (a, b) in enumerate(zip(ls, rs)):
-                d, conflict = _join_dim(a, b)
-                if conflict:
-                    self._emit(
-                        "REP005", node,
-                        f"dimension mismatch at axis {i}: {_fmt_dim(a)} vs "
-                        f"{_fmt_dim(b)} ({_fmt_shape(ls)} against {_fmt_shape(rs)})",
-                        sink,
-                    )
-                dims.append(d)
-            return _Info(tuple(dims), dtype)
-        big, small = (ls, rs) if len(ls) > len(rs) else (rs, ls)
-        conflict_found = False
-        joined = list(big)
-        for i, (a, b) in enumerate(zip(reversed(big), reversed(small))):
-            d, conflict = _join_dim(a, b)
-            joined[len(big) - 1 - i] = d
-            if conflict:
-                conflict_found = True
-                self._emit(
-                    "REP005", node,
-                    f"dimension mismatch at trailing axis: {_fmt_dim(a)} vs "
-                    f"{_fmt_dim(b)} ({_fmt_shape(ls)} against {_fmt_shape(rs)})",
-                    sink,
-                )
-        if not conflict_found:
-            self._emit(
-                "REP006", node,
-                f"implicit broadcast of a rank-{len(small)} array "
-                f"{_fmt_shape(small)} against a rank-{len(big)} array "
-                f"{_fmt_shape(big)}; make the lift explicit with length-1 "
-                f"axes (e.g. x[None, :])",
-                sink,
-            )
-        return _Info(tuple(joined), dtype)
-
-    # ---- boundary unification (REP005/REP007) --------------------------------
-
-    def _unify_spec(
-        self, spec, info: _Info, binding: dict, node: ast.AST, where: str,
-        sink=None,
-    ) -> None:
-        if isinstance(spec, _SeqSpec):
-            if info.elem is not None:
-                self._unify_spec(spec.spec, info.elem, binding, node, where, sink)
-            elif info.elements is not None:
-                for e in info.elements:
-                    self._unify_spec(spec.spec, e, binding, node, where, sink)
-            return
-        if isinstance(spec, _TupleSpec):
-            if info.elements is not None and len(info.elements) == len(spec.specs):
-                for s, e in zip(spec.specs, info.elements):
-                    self._unify_spec(s, e, binding, node, where, sink)
-            return
-        if not isinstance(spec, ShapeSpec):
-            return
-        if (
-            spec.dtype is not None
-            and info.dtype is not None
-            and info.dtype != spec.dtype
-            and {spec.dtype, info.dtype} == {"float64", "float32"}
-        ):
-            direction = (
-                "a float32 value where float64 is promised"
-                if info.dtype == "float32"
-                else "a float64 value into a float32 slot (silent downcast)"
-            )
-            self._emit(
-                "REP007", node,
-                f"dtype drift at {where}: {direction} (annotation {spec!r})",
-                sink,
-            )
-        if info.shape is None:
-            return
-        sdims = spec.dims
-        if Ellipsis in sdims:
-            k = sdims.index(Ellipsis)
-            before, after = sdims[:k], sdims[k + 1:]
-            if len(info.shape) < len(before) + len(after):
-                self._emit(
-                    "REP005", node,
-                    f"rank mismatch at {where}: shape {_fmt_shape(info.shape)} "
-                    f"is too short for annotation {spec!r}",
-                    sink,
-                )
-                return
-            pairs = list(zip(before, info.shape[: len(before)]))
-            if after:
-                pairs += list(zip(after, info.shape[-len(after):]))
-        else:
-            if len(info.shape) != len(sdims):
-                self._emit(
-                    "REP005", node,
-                    f"rank mismatch at {where}: shape {_fmt_shape(info.shape)} "
-                    f"where annotation {spec!r} expects rank {len(sdims)}",
-                    sink,
-                )
-                return
-            pairs = list(zip(sdims, info.shape))
-        for i, (sd, ad) in enumerate(pairs):
-            if ad is None:
-                continue
-            if isinstance(sd, int):
-                if isinstance(ad, int) and ad != sd:
-                    self._emit(
-                        "REP005", node,
-                        f"axis {i} at {where} is {ad} but annotation "
-                        f"{spec!r} requires {sd}",
-                        sink,
-                    )
-            else:
-                bound = binding.get(sd)
-                if bound is None:
-                    binding[sd] = ad
-                elif _eq_dim_conflict(bound, ad):
-                    self._emit(
-                        "REP005", node,
-                        f"axis {i} at {where} is {_fmt_dim(ad)} but symbol "
-                        f"'{sd}' is already bound to {_fmt_dim(bound)}",
-                        sink,
-                    )
-
-    # ---- subscripts ---------------------------------------------------------
-
-    def _infer_subscript(self, node: ast.Subscript, env: dict) -> _Info:
-        v = self._infer(node.value, env)
-        sl = node.slice
-        const_idx = None
-        if isinstance(sl, ast.Constant) and isinstance(sl.value, int) and not isinstance(
-            sl.value, bool
-        ):
-            const_idx = sl.value
-        if v.elements is not None:
-            if const_idx is not None and -len(v.elements) <= const_idx < len(v.elements):
-                return v.elements[const_idx]
-            if isinstance(sl, ast.Slice):
-                return v  # a slice of a tuple literal: keep elem knowledge out
-            self._infer(sl, env)
-            return _UNK
-        if v.elem is not None:
-            if isinstance(sl, ast.Slice):
-                return v
-            self._infer(sl, env)
-            return v.elem
-        if v.shape is None:
-            self._infer(sl, env)
-            return _Info(None, v.dtype)
-        items = list(sl.elts) if isinstance(sl, ast.Tuple) else [sl]
-        for it in items:
-            if not isinstance(it, (ast.Slice, ast.Constant)):
-                self._infer(it, env)
-        result = _index_shape(v.shape, items)
-        return _Info(result, v.dtype)
-
-    # ---- calls ---------------------------------------------------------------
-
-    def _infer_call(self, node: ast.Call, env: dict) -> _Info:
-        pos = [
-            self._infer(a.value if isinstance(a, ast.Starred) else a, env)
-            for a in node.args
-        ]
-        kw: dict[str, _Info] = {}
-        kw_nodes: dict[str, ast.AST] = {}
-        for k in node.keywords:
-            info = self._infer(k.value, env)
-            if k.arg is not None:
-                kw[k.arg] = info
-                kw_nodes[k.arg] = k.value
-        if any(isinstance(a, ast.Starred) for a in node.args):
-            return _UNK
-        f = node.func
-        if isinstance(f, ast.Attribute):
-            if isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"):
-                return self._np_call(f.attr, node, pos, kw, kw_nodes, env)
-            recv = self._infer(f.value, env)
-            return self._method_call(f.attr, recv, node, pos, kw, kw_nodes, env)
-        if isinstance(f, ast.Name):
-            if f.id == "len":
-                return _INT
-            if f.id in ("float", "abs", "round"):
-                return _FLOAT if f.id == "float" else _Info(shape=())
-            if f.id == "int":
-                return _INT
-            return self._registry_call(f.id, node, pos, kw, attr_call=False)
-        return _UNK
-
-    def _np_call(
-        self, attr: str, node: ast.Call, pos, kw, kw_nodes, env,
-    ) -> _Info:
-        args = node.args
-        if attr in _NP_ZEROS:
-            dims = self._dims_from_expr(args[0], env) if args else None
-            dtype_node = kw_nodes.get("dtype")
-            if dtype_node is None and attr == "full" and len(args) >= 3:
-                dtype_node = args[2]
-            dtype = self._dtype_from_expr(dtype_node)
-            if dtype is None:
-                if attr == "full":
-                    dtype = pos[1].dtype if len(pos) >= 2 else None
-                else:
-                    dtype = "float64"
-            return _Info(dims, dtype)
-        if attr in _NP_LIKE:
-            base = pos[0] if pos else _UNK
-            dtype = self._dtype_from_expr(kw_nodes.get("dtype")) or base.dtype
-            shape = base.shape
-            if "shape" in kw_nodes:
-                shape = self._dims_from_expr(kw_nodes["shape"], env)
-            return _Info(shape, dtype)
-        if attr in _NP_PASS:
-            base = pos[0] if pos else _UNK
-            dtype_node = kw_nodes.get("dtype")
-            if dtype_node is None and attr == "array" and len(args) >= 2:
-                dtype_node = args[1]
-            dtype = self._dtype_from_expr(dtype_node) or base.dtype
-            return _Info(base.shape, dtype, elem=base.elem)
-        if attr == "reshape" and len(args) >= 2:
-            return self._reshape(pos[0], args[1], node, env)
-        if attr == "transpose" and args:
-            axes = args[1:] or ([kw_nodes["axes"]] if "axes" in kw_nodes else [])
-            return self._transpose(pos[0], axes, node, env)
-        if attr in ("stack", "concatenate", "vstack", "hstack") and args:
-            return self._stack_like(attr, node, env, kw_nodes)
-        if attr in _NP_BINARY and len(pos) >= 2:
-            res = self._combine(
-                pos[0], pos[1], node, division=attr in ("divide", "true_divide")
-            )
-            if "out" in kw:
-                self._check_out(kw["out"], res, node)
-                return kw["out"]
-            return res
-        if attr in _NP_UNARY and pos:
-            base = pos[0]
-            dtype = base.dtype
-            if dtype in ("int", "bool"):
-                dtype = "float64"
-            if attr == "sign":
-                dtype = base.dtype
-            res = _Info(base.shape, dtype)
-            if "out" in kw:
-                self._check_out(kw["out"], res, node)
-                return kw["out"]
-            return res
-        if attr in ("isfinite", "isnan", "isinf") and pos:
-            return _Info(pos[0].shape, "bool")
-        if attr in _NP_REDUCE and pos:
-            return self._reduce(pos[0], node, kw_nodes, env)
-        if attr == "where" and len(pos) == 3:
-            return self._combine(pos[1], pos[2], node)
-        if attr == "clip" and pos:
-            return pos[0]
-        if attr == "dtype":
-            return _UNK
-        return _UNK
-
-    def _method_call(
-        self, attr: str, recv: _Info, node: ast.Call, pos, kw, kw_nodes, env,
-    ) -> _Info:
-        args = node.args
-        if attr == "reshape" and args:
-            shape_node: ast.AST
-            if len(args) == 1:
-                shape_node = args[0]
-            else:
-                shape_node = ast.Tuple(elts=list(args), ctx=ast.Load())
-            return self._reshape(recv, shape_node, node, env)
-        if attr == "transpose":
-            return self._transpose(recv, list(args), node, env)
-        if attr == "astype" and args:
-            return _Info(recv.shape, self._dtype_from_expr(args[0]))
-        if attr == "copy" and not args:
-            return recv
-        if attr in ("ravel", "flatten") and recv.shape is not None:
-            if all(isinstance(d, int) for d in recv.shape):
-                return _Info((prod(recv.shape),), recv.dtype)
-            return _Info((None,), recv.dtype)
-        if attr in _NP_REDUCE and recv.shape is not None:
-            return self._reduce(recv, node, kw_nodes, env)
-        if attr == "take" and args:
-            # BufferPool.take(shape, dtype=...) — the pool allocator.
-            # (ndarray.take is unused in this codebase; a literal shape
-            # argument distinguishes the pool call anyway.)
-            dims = self._dims_from_expr(args[0], env)
-            if dims is not None:
-                dtype = self._dtype_from_expr(kw_nodes.get("dtype")) or "float64"
-                return _Info(dims, dtype)
-            return _UNK
-        return self._registry_call(attr, node, pos, kw, attr_call=True)
-
-    def _check_out(self, out: _Info, res: _Info, node: ast.AST, sink=None) -> None:
-        if (
-            res.dtype == "float64"
-            and out.dtype == "float32"
-        ):
-            self._emit(
-                "REP007", node,
-                "float64 result written into a float32 out= buffer "
-                "(silent downcast)",
-                sink,
-            )
-        if out.shape is None or res.shape is None:
-            return
-        if len(out.shape) != len(res.shape):
-            self._emit(
-                "REP005", node,
-                f"out= buffer rank {len(out.shape)} does not match result "
-                f"rank {len(res.shape)}",
-                sink,
-            )
-            return
-        for i, (a, b) in enumerate(zip(out.shape, res.shape)):
-            if _eq_dim_conflict(a, b):
-                self._emit(
-                    "REP005", node,
-                    f"out= buffer axis {i} is {_fmt_dim(a)} but the result "
-                    f"has {_fmt_dim(b)}",
-                    sink,
-                )
-
-    def _reduce(self, base: _Info, node: ast.Call, kw_nodes, env) -> _Info:
-        dtype = base.dtype
-        axis_node = kw_nodes.get("axis")
-        if axis_node is None:
-            # positional axis: np.sum(x, axis) or x.sum(axis)
-            np_form = (
-                isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("np", "numpy")
-            )
-            arg_i = 1 if np_form else 0
-            if len(node.args) > arg_i:
-                axis_node = node.args[arg_i]
-        keepdims = False
-        kd = kw_nodes.get("keepdims")
-        if isinstance(kd, ast.Constant):
-            keepdims = bool(kd.value)
-        if base.shape is None:
-            return _Info(None, dtype)
-        if axis_node is None:
-            return _Info((), dtype)
-        if isinstance(axis_node, ast.Constant) and isinstance(axis_node.value, int):
-            ax = axis_node.value % len(base.shape) if base.shape else 0
-            if ax < len(base.shape):
-                if keepdims:
-                    dims = tuple(
-                        1 if i == ax else d for i, d in enumerate(base.shape)
-                    )
-                else:
-                    dims = tuple(
-                        d for i, d in enumerate(base.shape) if i != ax
-                    )
-                return _Info(dims, dtype)
-        return _Info(None, dtype)
-
-    # ---- reshape / transpose / stack (REP008) --------------------------------
-
-    def _reshape(self, src: _Info, shape_node: ast.AST, node: ast.Call, env) -> _Info:
-        dims = self._dims_from_expr(shape_node, env)
-        if dims is None:
-            return _Info(None, src.dtype)
-        has_wild = any(isinstance(d, int) and d == -1 for d in dims) or any(
-            d is None for d in dims
-        )
-        result = tuple(
-            None if (d is None or (isinstance(d, int) and d == -1)) else d
-            for d in dims
-        )
-        if has_wild or src.shape is None:
-            return _Info(result, src.dtype)
-        if any(d is None for d in src.shape):
-            return _Info(result, src.dtype)
-        simple = all(
-            isinstance(d, int) or (isinstance(d, str) and d.isidentifier())
-            for d in list(src.shape) + list(dims)
-        )
-        if simple:
-            src_ints = prod(d for d in src.shape if isinstance(d, int))
-            dst_ints = prod(d for d in dims if isinstance(d, int))
-            src_syms = sorted(d for d in src.shape if isinstance(d, str))
-            dst_syms = sorted(d for d in dims if isinstance(d, str))
-            if src_ints != dst_ints or src_syms != dst_syms:
-                self._emit(
-                    "REP008", node,
-                    f"reshape from {_fmt_shape(src.shape)} to "
-                    f"{_fmt_shape(dims)} changes the provable element count",
-                )
-        return _Info(result, src.dtype)
-
-    def _transpose(self, src: _Info, axes_nodes: list, node: ast.Call, env) -> _Info:
-        if not axes_nodes:
-            shape = src.shape[::-1] if src.shape is not None else None
-            return _Info(shape, src.dtype)
-        if len(axes_nodes) == 1 and isinstance(axes_nodes[0], (ast.Tuple, ast.List)):
-            axes_nodes = list(axes_nodes[0].elts)
-        axes = []
-        for a in axes_nodes:
-            if isinstance(a, ast.Constant) and isinstance(a.value, int):
-                axes.append(a.value)
-            else:
-                return _Info(None, src.dtype)
-        if src.shape is None:
-            return _Info(None, src.dtype)
-        rank = len(src.shape)
-        norm = [a % rank if -rank <= a < rank else a for a in axes]
-        if len(axes) != rank or sorted(norm) != list(range(rank)):
-            self._emit(
-                "REP008", node,
-                f"transpose axes {tuple(axes)} are not a permutation of a "
-                f"rank-{rank} array {_fmt_shape(src.shape)}",
-            )
-            return _Info(None, src.dtype)
-        return _Info(tuple(src.shape[a] for a in norm), src.dtype)
-
-    def _stack_like(self, attr: str, node: ast.Call, env, kw_nodes) -> _Info:
-        arg0 = node.args[0]
-        if not isinstance(arg0, (ast.List, ast.Tuple)):
-            self._infer(arg0, env)
-            return _UNK
-        infos = [self._infer(e, env) for e in arg0.elts]
-        known = [i.shape for i in infos if i.shape is not None]
-        if not known:
-            return _UNK
-        ref = known[0]
-        consistent = True
-        axis = 0
-        axis_node = kw_nodes.get("axis")
-        if axis_node is None and len(node.args) >= 2:
-            axis_node = node.args[1]
-        if isinstance(axis_node, ast.Constant) and isinstance(axis_node.value, int):
-            axis = axis_node.value
-        for s in known[1:]:
-            if len(s) != len(ref):
-                self._emit(
-                    "REP008", node,
-                    f"{attr} of provably different shapes: {_fmt_shape(ref)} "
-                    f"vs {_fmt_shape(s)}",
-                )
-                consistent = False
-                continue
-            for i, (a, b) in enumerate(zip(ref, s)):
-                skip_axis = attr == "concatenate" and i == (axis % len(ref))
-                if not skip_axis and _eq_dim_conflict(a, b):
-                    self._emit(
-                        "REP008", node,
-                        f"{attr} of provably different shapes: "
-                        f"{_fmt_shape(ref)} vs {_fmt_shape(s)} (axis {i})",
-                    )
-                    consistent = False
-        if not consistent or len(known) != len(infos):
-            return _UNK
-        merged = list(ref)
-        for s in known[1:]:
-            merged = [a if a == b else None for a, b in zip(merged, s)]
-        dtype = infos[0].dtype
-        for i in infos[1:]:
-            if i.dtype != dtype:
-                dtype = None
-        if attr == "stack":
-            pos = axis % (len(merged) + 1)
-            return _Info(
-                tuple(merged[:pos]) + (len(infos),) + tuple(merged[pos:]), dtype
-            )
-        if attr == "concatenate":
-            ax = axis % len(merged)
-            cat_dims = [s[ax] for s in known]
-            total = (
-                sum(cat_dims) if all(isinstance(d, int) for d in cat_dims) else None
-            )
-            merged[ax] = total
-            return _Info(tuple(merged), dtype)
-        return _UNK  # vstack/hstack: rank promotion rules not modelled
-
-    # ---- registry call boundaries -------------------------------------------
-
-    def _registry_call(
-        self, name: str, node: ast.Call, pos, kw, *, attr_call: bool,
-    ) -> _Info:
-        entries = self.reg.funcs.get(name)
-        if not entries:
-            return _UNK
-        results = []
-        for e in entries:
-            params = list(e.params)
-            if e.is_method and attr_call and params and params[0][0] in ("self", "cls"):
-                params = params[1:]
-            local: list[Violation] = []
-            binding: dict[str, object] = {}
-            for i, (pname, spec) in enumerate(params):
-                info = pos[i] if i < len(pos) else kw.get(pname)
-                if info is None or spec is None:
-                    continue
-                self._unify_spec(
-                    spec, info, binding, node,
-                    f"argument '{pname}' of {name}()", sink=local,
-                )
-            ret = _substitute(e.returns, binding)
-            results.append((local, ret))
-        first = results[0][0]
-        common = [v for v in first if all(v in r[0] for r in results[1:])]
-        self.out.extend(common)
-        rets = [r[1] for r in results]
-        return rets[0] if all(r == rets[0] for r in rets[1:]) else _UNK
-
-
-def _substitute(returns, binding: dict) -> _Info:
-    if isinstance(returns, ShapeSpec):
-        if Ellipsis in returns.dims:
-            return _Info(None, returns.dtype)
-        dims = tuple(
-            binding.get(d, d) if isinstance(d, str) else d for d in returns.dims
-        )
-        return _Info(dims, returns.dtype)
-    if isinstance(returns, _TupleSpec):
-        return _Info(
-            elements=tuple(_substitute(s, binding) for s in returns.specs)
-        )
-    return _UNK
-
-
-def _merge_info(a: _Info, b: _Info) -> _Info:
-    if a == b:
-        return a
-    shape = None
-    if a.shape is not None and b.shape is not None and len(a.shape) == len(b.shape):
-        shape = tuple(x if x == y else None for x, y in zip(a.shape, b.shape))
-    return _Info(
-        shape=shape,
-        dtype=a.dtype if a.dtype == b.dtype else None,
-        elem=a.elem if a.elem == b.elem else None,
-        obj=a.obj if a.obj == b.obj else None,
-    )
-
-
-def _index_shape(shape: tuple, items: list) -> tuple | None:
-    """Result shape of ``x[items...]`` or None when unpredictable."""
-    consuming = 0
-    has_ellipsis = False
-    for it in items:
-        if isinstance(it, ast.Slice):
-            consuming += 1
-        elif isinstance(it, ast.Constant):
-            if it.value is Ellipsis:
-                if has_ellipsis:
-                    return None
-                has_ellipsis = True
-            elif it.value is None:
-                pass  # newaxis
-            elif isinstance(it.value, int) and not isinstance(it.value, bool):
-                consuming += 1
-            else:
-                return None
-        elif (
-            isinstance(it, ast.UnaryOp)
-            and isinstance(it.op, ast.USub)
-            and isinstance(it.operand, ast.Constant)
-            and isinstance(it.operand.value, int)
-        ):
-            consuming += 1
-        else:
-            return None  # names, calls, fancy indexing: give up
-    if consuming > len(shape):
-        return None
-    fill = len(shape) - consuming
-    dims: list = []
-    pos = 0
-    for it in items:
-        if isinstance(it, ast.Slice):
-            if it.lower is None and it.upper is None and it.step is None:
-                dims.append(shape[pos])
-            else:
-                dims.append(_sliced_dim(shape[pos], it))
-            pos += 1
-        elif isinstance(it, ast.Constant) and it.value is Ellipsis:
-            dims.extend(shape[pos:pos + fill])
-            pos += fill
-            fill = 0
-        elif isinstance(it, ast.Constant) and it.value is None:
-            dims.append(1)
-        else:  # integer index (plain or negated)
-            pos += 1
-    dims.extend(shape[pos:])
-    return tuple(dims)
-
-
-def _sliced_dim(dim, sl: ast.Slice):
-    """Length of a bounded slice when the bounds are literal ints."""
-    if sl.step is not None:
-        return None
-    lo = sl.lower.value if isinstance(sl.lower, ast.Constant) else None
-    hi = sl.upper.value if isinstance(sl.upper, ast.Constant) else None
-    if isinstance(dim, int) and (lo is None or isinstance(lo, int)) and (
-        hi is None or isinstance(hi, int)
-    ):
-        return len(range(*slice(lo, hi).indices(dim)))
-    return None
-
-
-# ---- drivers ---------------------------------------------------------------------
-
-
-def _module_functions(tree: ast.Module):
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, None
-        elif isinstance(node, ast.ClassDef):
-            for stmt in node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield stmt, node.name
-
-
-def shape_lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Sequence[str] | None = None,
-    registry: _Registry | None = None,
-    *,
-    tree: ast.Module | None = None,
-) -> list[Violation]:
-    """Shape-lint one module's source; returns noqa-filtered violations.
-
-    ``tree`` accepts a pre-parsed module (the single-pass driver's
-    shared parse); ``registry`` the cross-file annotation registry.
-    """
-    if tree is None:
-        tree = ast.parse(source, filename=path)
-    reg = registry
-    if reg is None:
-        reg = _Registry()
-        _collect(tree, reg)
-    selected = set(rules) if rules is not None else set(SHAPE_RULES)
-    found: list[Violation] = []
-    for fn, cls in _module_functions(tree):
-        _FunctionAnalyzer(fn, path, reg, found, cls).run()
-    noqa = _noqa_lines(source)
-    kept = {
-        v
-        for v in found
-        if v.rule in selected and v.rule not in noqa.get(v.line, set())
-    }
-    return sorted(kept, key=lambda v: (v.path, v.line, v.col, v.rule, v.message))
-
-
-def shape_lint_paths(
-    paths: Sequence[str], rules: Sequence[str] | None = None
-) -> tuple[list[Violation], int]:
-    """Shape-lint files/directories with one cross-file annotation registry.
-
-    Returns ``(violations, number of files seen)`` like
-    :func:`repro.checkers.linter.lint_paths`.
-    """
-    files = _iter_files(paths)
-    reg = _Registry()
-    parsed: list[tuple[str, str, ast.Module]] = []
-    for f in files:
-        source = Path(f).read_text()
-        tree = ast.parse(source, filename=str(f))
-        parsed.append((source, str(f), tree))
-        _collect(tree, reg)
-    violations: list[Violation] = []
-    for source, path, tree in parsed:
-        violations.extend(
-            shape_lint_source(source, path, rules=rules, registry=reg, tree=tree)
-        )
-    return violations, len(files)

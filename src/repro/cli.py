@@ -15,7 +15,7 @@ script) prints the reproduced tables and figures:
 ``kernels``    detected kernel backends and build-cache status
 ``backends``   detected launcher backends (thread/process/socket/...)
 ``worker``     join a socket-launcher world as an external worker
-``lint``       single-pass REP001-REP016 reproducibility lint
+``lint``       the five REP reproducibility rules, one parse per file
 ``verify-bitwise``  cross-configuration bitwise state-digest check
 =============  =====================================================
 """
@@ -126,16 +126,29 @@ def _announce_kernel_build() -> None:
         kb.select("c")
 
 
-def _cmd_run_parallel(args) -> None:
+def _run_config(args):
+    """The demo :class:`RunConfig` of ``run``; a bad grid or step count
+    ends in one ``run: <message>`` line and exit status 2."""
     from repro import MHDParameters, RunConfig
+    from repro.utils.validation import require
+
+    try:
+        require(args.steps >= 0, f"steps must be >= 0, got {args.steps}")
+        return RunConfig(nr=args.nr, nth=args.nth, nph=args.nph,
+                         params=MHDParameters.laptop_demo(),
+                         amp_temperature=2e-2, filter_strength=0.05)
+    except ValueError as exc:
+        print(f"run: {exc}")
+        raise SystemExit(2) from exc
+
+
+def _cmd_run_parallel(args, config) -> None:
     from repro.mhd.diagnostics import yinyang_energies
     from repro.grids.yinyang import YinYangGrid
     from repro.parallel.parallel_solver import run_parallel_dynamo
 
     _announce_kernel_build()
-    params = MHDParameters.laptop_demo()
-    config = RunConfig(nr=args.nr, nth=args.nth, nph=args.nph, params=params,
-                       amp_temperature=2e-2, filter_strength=0.05)
+    params = config.params
     pth, pph = _ranks_to_layout(args.ranks)
     print(f"running {args.steps} steps on {args.ranks} {args.backend} ranks "
           f"(2 panels x {pth} x {pph}) ...")
@@ -224,26 +237,21 @@ def _cmd_worker(args) -> None:
 
 
 def _cmd_lint(args) -> None:
-    """All fifteen REP rules in one pass over one shared parse per file.
-
-    ``--rules`` selects a subset; ``--shapes``/``--schedule``/``--all``
-    are retained for script compatibility but every family now runs by
-    default (the historical opt-in flags are no-ops).
-    """
-    from repro.checkers.driver import ALL_RULES, lint_all_paths
-    from repro.checkers.linter import to_json
+    """All five REP rules of the lint core's table (REP001, REP013-REP016),
+    one parse per file; ``--rules`` selects a subset."""
+    from repro.checkers.linter import RULES, lint_paths, to_json
 
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        unknown = [r for r in rules if r not in ALL_RULES]
+        unknown = [r for r in rules if r not in RULES]
         if unknown:
             raise SystemExit(
                 f"unknown rule(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(ALL_RULES))}"
+                f"known: {', '.join(sorted(RULES))}"
             )
     else:
         rules = None
-    violations, n_files = lint_all_paths(args.paths, rules=rules)
+    violations, n_files = lint_paths(args.paths, rules=rules)
     if args.format == "json":
         print(to_json(violations, n_files))
     else:
@@ -451,23 +459,20 @@ def _cmd_analyze_deadlock(args) -> None:
 
 
 def _cmd_run(args) -> None:
-    from repro import MHDParameters, RunConfig, YinYangDynamo
+    from repro import YinYangDynamo
     from repro.core.checkpoint import CheckpointError
     from repro.core.guard import SolverDivergence
     from repro.engine import CheckpointObserver, HealthGuard, TimerObserver
 
+    config = _run_config(args)
     if args.backend != "serial":
         if args.guard:
             raise SystemExit("--guard is a serial-only option")
-        _cmd_run_parallel(args)
+        _cmd_run_parallel(args, config)
         return
 
     _announce_kernel_build()
-    params = MHDParameters.laptop_demo()
-    dyn = YinYangDynamo(
-        RunConfig(nr=args.nr, nth=args.nth, nph=args.nph, params=params,
-                  amp_temperature=2e-2, filter_strength=0.05)
-    )
+    dyn = YinYangDynamo(config)
     observers = [TimerObserver()]
     if args.guard:
         observers.append(HealthGuard())
@@ -585,29 +590,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run all REP001-REP016 reproducibility invariants in a "
-             "single pass: hot-path allocations / ownership / tags / "
-             "collectives, symbolic shape+dtype contracts, the "
-             "concurrency pass, and the bitwise-determinism rules "
-             "(unordered iteration, unordered FP reductions, ambient "
-             "nondeterminism, FP-contraction hazards)",
+        help="run all five REP reproducibility rules in one pass: "
+             "hot-path allocations (REP001) and the bitwise-determinism "
+             "rules (REP013-REP016: unordered iteration, unordered FP "
+             "reductions, ambient nondeterminism, FP-contraction hazards)",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="output format")
-    p.add_argument("--rules", default=None, metavar="REP001,REP002,...",
-                   help="comma-separated rule subset "
-                        "(default: all of REP001-REP016)")
-    p.add_argument("--all", action="store_true",
-                   help="run every rule family (this is the default; the "
-                        "flag exists so scripts can say it explicitly)")
-    p.add_argument("--shapes", action="store_true",
-                   help="deprecated no-op: the REP005-REP008 shape rules "
-                        "now run by default")
-    p.add_argument("--schedule", action="store_true",
-                   help="deprecated no-op: the REP010-REP011 concurrency "
-                        "rules now run by default")
+    p.add_argument("--rules", default=None, metavar="REP001,REP013,...",
+                   help="comma-separated rule subset (default: all five)")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser(

@@ -132,25 +132,9 @@ def select(name: str | None = None) -> str:
     return "c"
 
 
-def stencil_module(name: str):
-    """The primitive-stencil implementation for a *resolved* backend.
-
-    ``DerivativeCache`` dispatches through this: the compiled
-    primitives are bitwise-equal to the NumPy ones, so composite
-    operators built on the cache are backend-transparent.
-    """
-    if name == "c":
-        from repro.fd.ckernels import stencils as cstencils
-
-        return cstencils
-    from repro.fd import stencils
-
-    return stencils
-
-
 def compiled_module(name: str):
     """The compiled elementwise kernels for a *resolved* backend name:
-    the :mod:`repro.fd.ckernels.stencils` module on ``c``, else None.
+    the :mod:`repro.fd.ckernels.elementwise` module on ``c``, else None.
 
     Drivers resolve this once at construction and hand it to the state
     algebra (``MHDState.axpy_into`` / ``rk4_combine_into``), so the RK4
@@ -158,6 +142,6 @@ def compiled_module(name: str):
     """
     if name != "c":
         return None
-    from repro.fd.ckernels import stencils as cstencils
+    from repro.fd.ckernels import elementwise
 
-    return cstencils
+    return elementwise

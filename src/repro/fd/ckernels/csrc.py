@@ -2,13 +2,7 @@
 
 Two layers live in this translation unit:
 
-**Primitive stencils** — ``ck_diff`` / ``ck_diff2`` and their
-spacing-free ``_raw`` numerators operate on an ``(outer, n, inner)``
-view of a C-contiguous array (any axis of any rank collapses to that
-form), with the same interior/edge formulas *and the same operation
-order* as :mod:`repro.fd.stencils`, so results are bitwise equal to the
-NumPy path.  ``inner == 1`` is the flat-last-axis fast path: each row is
-one aligned contiguous sweep.  ``ck_axpy`` mirrors the two-rounding
+**Elementwise state algebra** — ``ck_axpy`` mirrors the two-rounding
 ``multiply(y, a) ; add`` sequence of
 :meth:`repro.mhd.state.MHDState.axpy_into` exactly, and
 ``ck_rk4_combine`` chains four of them in one pass.
@@ -56,10 +50,6 @@ typedef struct {
     const double *w2r, *w2t, *w2p;
 } ck_panel;
 
-void ck_diff_raw(const double *f, double *out, long outer, long n, long inner);
-void ck_diff2_raw(const double *f, double *out, long outer, long n, long inner);
-void ck_diff(const double *f, double *out, long outer, long n, long inner, double h);
-void ck_diff2(const double *f, double *out, long outer, long n, long inner, double h);
 void ck_axpy(const double *x, const double *y, double a, double *out, long n);
 void ck_rk4_combine(const double *y, const double *k1, const double *k2,
                     const double *k3, const double *k4,
@@ -119,134 +109,6 @@ typedef struct {
                  *mu_inv_r_cot, *mu_grad_ph, *vg2;
     const double *w2r, *w2t, *w2p;
 } ck_panel;
-
-/* ---- primitive stencils over an (outer, n, inner) contiguous view ---- */
-/* Interior/edge formulas and operation order exactly match
-   repro/fd/stencils.py, so results are bitwise equal to NumPy. */
-
-void ck_diff_raw(const double *f, double *out, long outer, long n, long inner)
-{
-    for (long o = 0; o < outer; o++) {
-        const double *fb = f + o * n * inner;
-        double *ob = out + o * n * inner;
-        if (inner == 1) {
-            for (long i = 1; i < n - 1; i++)
-                ob[i] = fb[i + 1] - fb[i - 1];
-            ob[0] = -3.0 * fb[0] + 4.0 * fb[1] - fb[2];
-            ob[n - 1] = 3.0 * fb[n - 1] - 4.0 * fb[n - 2] + fb[n - 3];
-        } else {
-            for (long i = 1; i < n - 1; i++) {
-                const double *fu = fb + (i + 1) * inner;
-                const double *fd = fb + (i - 1) * inner;
-                double *op = ob + i * inner;
-                for (long t = 0; t < inner; t++)
-                    op[t] = fu[t] - fd[t];
-            }
-            const double *f1 = fb + inner, *f2 = fb + 2 * inner;
-            const double *fl = fb + (n - 1) * inner;
-            const double *g1 = fb + (n - 2) * inner, *g2 = fb + (n - 3) * inner;
-            double *ol = ob + (n - 1) * inner;
-            for (long t = 0; t < inner; t++) {
-                ob[t] = -3.0 * fb[t] + 4.0 * f1[t] - f2[t];
-                ol[t] = 3.0 * fl[t] - 4.0 * g1[t] + g2[t];
-            }
-        }
-    }
-}
-
-void ck_diff2_raw(const double *f, double *out, long outer, long n, long inner)
-{
-    for (long o = 0; o < outer; o++) {
-        const double *fb = f + o * n * inner;
-        double *ob = out + o * n * inner;
-        if (inner == 1) {
-            for (long i = 1; i < n - 1; i++)
-                ob[i] = (fb[i + 1] - 2.0 * fb[i]) + fb[i - 1];
-            ob[0] = fb[0] - 2.0 * fb[1] + fb[2];
-            ob[n - 1] = fb[n - 1] - 2.0 * fb[n - 2] + fb[n - 3];
-        } else {
-            for (long i = 1; i < n - 1; i++) {
-                const double *fu = fb + (i + 1) * inner;
-                const double *fm = fb + i * inner;
-                const double *fd = fb + (i - 1) * inner;
-                double *op = ob + i * inner;
-                for (long t = 0; t < inner; t++)
-                    op[t] = (fu[t] - 2.0 * fm[t]) + fd[t];
-            }
-            const double *f1 = fb + inner, *f2 = fb + 2 * inner;
-            const double *fl = fb + (n - 1) * inner;
-            const double *g1 = fb + (n - 2) * inner, *g2 = fb + (n - 3) * inner;
-            double *ol = ob + (n - 1) * inner;
-            for (long t = 0; t < inner; t++) {
-                ob[t] = fb[t] - 2.0 * f1[t] + f2[t];
-                ol[t] = fl[t] - 2.0 * g1[t] + g2[t];
-            }
-        }
-    }
-}
-
-void ck_diff(const double *f, double *out, long outer, long n, long inner, double h)
-{
-    double twoh = 2.0 * h;
-    for (long o = 0; o < outer; o++) {
-        const double *fb = f + o * n * inner;
-        double *ob = out + o * n * inner;
-        if (inner == 1) {
-            for (long i = 1; i < n - 1; i++)
-                ob[i] = (fb[i + 1] - fb[i - 1]) / twoh;
-            ob[0] = (-3.0 * fb[0] + 4.0 * fb[1] - fb[2]) / twoh;
-            ob[n - 1] = (3.0 * fb[n - 1] - 4.0 * fb[n - 2] + fb[n - 3]) / twoh;
-        } else {
-            for (long i = 1; i < n - 1; i++) {
-                const double *fu = fb + (i + 1) * inner;
-                const double *fd = fb + (i - 1) * inner;
-                double *op = ob + i * inner;
-                for (long t = 0; t < inner; t++)
-                    op[t] = (fu[t] - fd[t]) / twoh;
-            }
-            const double *f1 = fb + inner, *f2 = fb + 2 * inner;
-            const double *fl = fb + (n - 1) * inner;
-            const double *g1 = fb + (n - 2) * inner, *g2 = fb + (n - 3) * inner;
-            double *ol = ob + (n - 1) * inner;
-            for (long t = 0; t < inner; t++) {
-                ob[t] = (-3.0 * fb[t] + 4.0 * f1[t] - f2[t]) / twoh;
-                ol[t] = (3.0 * fl[t] - 4.0 * g1[t] + g2[t]) / twoh;
-            }
-        }
-    }
-}
-
-void ck_diff2(const double *f, double *out, long outer, long n, long inner, double h)
-{
-    double h2 = h * h;
-    for (long o = 0; o < outer; o++) {
-        const double *fb = f + o * n * inner;
-        double *ob = out + o * n * inner;
-        if (inner == 1) {
-            for (long i = 1; i < n - 1; i++)
-                ob[i] = ((fb[i + 1] - 2.0 * fb[i]) + fb[i - 1]) / h2;
-            ob[0] = (fb[0] - 2.0 * fb[1] + fb[2]) / h2;
-            ob[n - 1] = (fb[n - 1] - 2.0 * fb[n - 2] + fb[n - 3]) / h2;
-        } else {
-            for (long i = 1; i < n - 1; i++) {
-                const double *fu = fb + (i + 1) * inner;
-                const double *fm = fb + i * inner;
-                const double *fd = fb + (i - 1) * inner;
-                double *op = ob + i * inner;
-                for (long t = 0; t < inner; t++)
-                    op[t] = ((fu[t] - 2.0 * fm[t]) + fd[t]) / h2;
-            }
-            const double *f1 = fb + inner, *f2 = fb + 2 * inner;
-            const double *fl = fb + (n - 1) * inner;
-            const double *g1 = fb + (n - 2) * inner, *g2 = fb + (n - 3) * inner;
-            double *ol = ob + (n - 1) * inner;
-            for (long t = 0; t < inner; t++) {
-                ob[t] = (fb[t] - 2.0 * f1[t] + f2[t]) / h2;
-                ol[t] = (fl[t] - 2.0 * g1[t] + g2[t]) / h2;
-            }
-        }
-    }
-}
 
 /* multiply-then-add, two roundings per element — bitwise equal to the
    NumPy multiply(y, a, out=o); o += x sequence */

@@ -116,16 +116,10 @@ class DerivativeCache:
     and 2 for ``diff2``; each entry holds a strong reference to the
     keyed field so identity keys stay unique for the entry's lifetime
     (see the module docstring for the full invalidation contract).
-
-    ``impl`` selects the primitive-stencil implementation (defaults to
-    the NumPy module; pass :mod:`repro.fd.ckernels.stencils` for the
-    compiled backend — the two are bitwise-equal, so everything built
-    on the cache is backend-transparent).
     """
 
-    def __init__(self, pool: BufferPool | None = None, impl=None):
+    def __init__(self, pool: BufferPool | None = None):
         self.pool = pool
-        self.impl = impl if impl is not None else stencils
         self._entries: dict[tuple[int, int, int], tuple[Array, Array]] = {}
         self.hits = 0
         self.misses = 0
@@ -163,13 +157,13 @@ class DerivativeCache:
         if self.pool is not None and isinstance(f, np.ndarray):
             out = self.pool.take(f.shape)
         if order == 1:
-            d = self.impl.diff(f, h, axis, out=out)
+            d = stencils.diff(f, h, axis, out=out)
         elif order == 2:
-            d = self.impl.diff2(f, h, axis, out=out)
+            d = stencils.diff2(f, h, axis, out=out)
         elif order == self._RAW1:
-            d = self.impl.diff_raw(f, axis, out=out)
+            d = stencils.diff_raw(f, axis, out=out)
         else:
-            d = self.impl.diff2_raw(f, axis, out=out)
+            d = stencils.diff2_raw(f, axis, out=out)
         self._entries[key] = (f, d)
         return d
 

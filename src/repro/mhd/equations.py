@@ -117,11 +117,7 @@ class PanelEquations:
         self.fused = fused and self.kernel_backend != "numpy"
         self.ops = SphericalOperators(patch)
         self.pool = BufferPool()
-        self.cache = DerivativeCache(
-            pool=self.pool,
-            impl=kernel_backend.stencil_module(self.kernel_backend),
-        )
-        self.ops_cached = SphericalOperators(patch, cache=self.cache)
+        self.cache = DerivativeCache(pool=self.pool)
         self.coef = StencilCoefficients(patch)
         self.omega = rotation_vector_field(patch, omega_cart)
         # Coriolis operand: 2 rho (v x Omega) == 2 (f x Omega) since

@@ -9,7 +9,7 @@ MPI subset yycore needs (paper Section IV):
   ``Isend``/``Irecv`` returns a :class:`Request` that **must** be
   completed with ``wait()``/``Wait()`` or ``comm.Waitall`` — the
   protocol recorder tracks request lifetimes and an abandoned handle
-  fails the sanitized finalize (see REP009);
+  fails the sanitized finalize;
 * collectives: ``barrier``, ``bcast``, ``gather``, ``allgather``,
   ``allreduce``, ``alltoall``;
 * communicator management: ``split`` (the paper's ``MPI_COMM_SPLIT``

@@ -6,9 +6,8 @@ integer counters, seeded generators, per-iteration C accumulators,
 ``-ffp-contract=off``).  Dynamic side: state fingerprints are stable
 across identical runs, localize an induced perturbation to the exact
 (step, panel, field), ride along in checkpoints, and back the shared
-``assert_bitwise_equal`` test assertion.  Finally the source tree
-itself must be clean under every rule, per family and in the
-single-pass driver.
+``assert_bitwise_equal`` test assertion.  The whole-tree self-lint
+lives in ``test_checkers_lint.py``.
 """
 
 import numpy as np
@@ -16,12 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkers.determinism import (
-    DETERMINISM_RULES,
-    determinism_lint_paths,
-    determinism_lint_source,
-)
-from repro.checkers.driver import ALL_RULES, lint_all_paths
+from repro.checkers.linter import RULES, lint_paths, lint_source
 from repro.checkers.fingerprint import (
     Fingerprint,
     assert_bitwise_equal,
@@ -35,19 +29,26 @@ from repro.grids.component import Panel
 from repro.mhd.state import FIELD_NAMES, MHDState
 
 
+#: the rules these fixtures exercise
+DET = ["REP013", "REP014", "REP015", "REP016"]
+
+
+def lint_det(source, path="<string>"):
+    return lint_source(source, path, rules=DET)
+
+
 def rules_of(violations):
     return [v.rule for v in violations]
 
 
 class TestRegistry:
     def test_rule_ids(self):
-        assert set(DETERMINISM_RULES) == {
-            "REP013", "REP014", "REP015", "REP016",
-        }
+        assert set(DET) <= set(RULES)
 
     def test_all_rules_spans_every_family(self):
-        # REP012 is retired with the split-phase exchange it checked
-        assert set(ALL_RULES) == {f"REP{i:03d}" for i in range(1, 17)} - {"REP012"}
+        # every other number is retired (docs/STATIC_ANALYSIS.md,
+        # "Mutation audit") and not reused
+        assert set(RULES) == {"REP001", *DET}
 
 
 # ---------------------------------------------------------------------------
@@ -107,29 +108,29 @@ class TestRep013:
     )
 
     def test_set_iteration_sending_messages(self):
-        assert "REP013" in rules_of(determinism_lint_source(self.SET_SEND))
+        assert "REP013" in rules_of(lint_det(self.SET_SEND))
 
     def test_set_iteration_building_a_schedule(self):
-        assert "REP013" in rules_of(determinism_lint_source(self.SET_APPEND))
+        assert "REP013" in rules_of(lint_det(self.SET_APPEND))
 
     def test_set_iteration_accumulating_floats(self):
-        assert "REP013" in rules_of(determinism_lint_source(self.SET_FP_ACCUM))
+        assert "REP013" in rules_of(lint_det(self.SET_FP_ACCUM))
 
     def test_unordered_dict_items_iteration(self):
-        assert "REP013" in rules_of(determinism_lint_source(self.DICT_FROM_SET))
+        assert "REP013" in rules_of(lint_det(self.DICT_FROM_SET))
 
     def test_sorted_wrapper_is_blessed(self):
-        assert determinism_lint_source(self.SORTED_OK) == []
+        assert lint_det(self.SORTED_OK) == []
 
     def test_integer_counter_is_not_an_fp_accumulation(self):
-        assert determinism_lint_source(self.COUNTER_OK) == []
+        assert lint_det(self.COUNTER_OK) == []
 
     def test_noqa_on_the_loop_line(self):
         src = self.SET_APPEND.replace(
             "    for x in pending:",
             "    for x in pending:  # repro: noqa-REP013",
         )
-        assert determinism_lint_source(src) == []
+        assert lint_det(src) == []
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +171,17 @@ class TestRep014:
     )
 
     def test_reduction_in_hot_function(self):
-        violations = determinism_lint_source(self.HOT_SUM)
+        violations = lint_det(self.HOT_SUM)
         assert rules_of(violations) == ["REP014"]
 
     def test_reduction_in_cold_function_is_fine(self):
-        assert determinism_lint_source(self.COLD_SUM) == []
+        assert lint_det(self.COLD_SUM) == []
 
     def test_builtin_sum_over_gathered_per_rank_data(self):
-        assert "REP014" in rules_of(determinism_lint_source(self.GATHERED_SUM))
+        assert "REP014" in rules_of(lint_det(self.GATHERED_SUM))
 
     def test_rank_order_left_fold_is_blessed(self):
-        assert determinism_lint_source(self.BLESSED_LEFT_FOLD) == []
+        assert lint_det(self.BLESSED_LEFT_FOLD) == []
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +220,14 @@ class TestRep015:
     )
 
     def test_direct_ambient_calls_in_hot_function(self):
-        violations = determinism_lint_source(self.DIRECT)
+        violations = lint_det(self.DIRECT)
         assert rules_of(violations) == ["REP015", "REP015", "REP015"]
 
     def test_seeded_generator_is_blessed(self):
-        assert determinism_lint_source(self.SEEDED_OK) == []
+        assert lint_det(self.SEEDED_OK) == []
 
     def test_identity_keyed_lookup_in_hot_function(self):
-        assert "REP015" in rules_of(determinism_lint_source(self.HASH_KEYED))
+        assert "REP015" in rules_of(lint_det(self.HASH_KEYED))
 
     def test_cross_file_reachability_names_the_hot_root(self, tmp_path):
         (tmp_path / "kernel_mod.py").write_text(
@@ -241,7 +242,7 @@ class TestRep015:
             "def jitter(x):\n"
             "    return x * (1.0 + random.random())\n"
         )
-        violations, n_files = determinism_lint_paths([str(tmp_path)])
+        violations, n_files = lint_paths([str(tmp_path)], rules=DET)
         assert n_files == 2
         hits = [v for v in violations if v.rule == "REP015"]
         assert hits, "cross-file ambient hazard not found"
@@ -254,7 +255,7 @@ class TestRep015:
             "def shuffle_seed(x):\n"
             "    return x * (1.0 + random.random())\n"
         )
-        violations, _ = determinism_lint_paths([str(tmp_path)])
+        violations, _ = lint_paths([str(tmp_path)], rules=DET)
         assert violations == []
 
 
@@ -307,18 +308,18 @@ class TestRep016:
     )
 
     def test_fast_math_flag(self):
-        assert "REP016" in rules_of(determinism_lint_source(self.FAST_MATH))
+        assert "REP016" in rules_of(lint_det(self.FAST_MATH))
 
     def test_missing_fp_contract_off(self):
         assert "REP016" in rules_of(
-            determinism_lint_source(self.NO_CONTRACT_OFF)
+            lint_det(self.NO_CONTRACT_OFF)
         )
 
     def test_blessed_flags(self):
-        assert determinism_lint_source(self.BLESSED_FLAGS) == []
+        assert lint_det(self.BLESSED_FLAGS) == []
 
     def test_explicit_fma_in_c_source(self):
-        violations = determinism_lint_source(self.CSRC_FMA)
+        violations = lint_det(self.CSRC_FMA)
         assert "REP016" in rules_of(violations)
         # line number points into the embedded C, not at the assignment
         hit = next(v for v in violations if v.rule == "REP016")
@@ -326,11 +327,11 @@ class TestRep016:
 
     def test_split_accumulators_recombined(self):
         assert "REP016" in rules_of(
-            determinism_lint_source(self.CSRC_SPLIT_ACCUM)
+            lint_det(self.CSRC_SPLIT_ACCUM)
         )
 
     def test_per_iteration_accumulator_is_blessed(self):
-        assert determinism_lint_source(self.CSRC_LOCAL_ACCUM) == []
+        assert lint_det(self.CSRC_LOCAL_ACCUM) == []
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +360,7 @@ class TestProperties:
         blocks = list(safe[:pos]) + [HAZARD_BLOCK] + list(safe[pos:])
         src = ("def plan(items, items_list):\n    out = []\n"
                + "".join(blocks) + "    return out\n")
-        violations = determinism_lint_source(src)
+        violations = lint_det(src)
         assert rules_of(violations) == ["REP013"]
 
     @settings(max_examples=30, deadline=None)
@@ -367,7 +368,7 @@ class TestProperties:
     def test_blessed_programs_stay_clean(self, safe):
         src = ("def plan(items, items_list):\n    out = []\n"
                + "".join(safe) + "    return out\n")
-        assert determinism_lint_source(src) == []
+        assert lint_det(src) == []
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -380,7 +381,7 @@ class TestProperties:
             f"    rng = np.random.default_rng({seed})\n"
             "    return f + rng.standard_normal()\n"
         )
-        assert determinism_lint_source(src) == []
+        assert lint_det(src) == []
 
 
 # ---------------------------------------------------------------------------
@@ -565,35 +566,16 @@ class TestFingerprintObserver:
 
 
 # ---------------------------------------------------------------------------
-# The source tree self-check and the single-pass driver
+# Rule selection in the one driver
 # ---------------------------------------------------------------------------
 
 
 class TestSelfCheck:
-    def test_source_tree_is_determinism_clean(self):
-        violations, n_files = determinism_lint_paths(["src"])
-        assert violations == []
-        assert n_files > 50
-
-    def test_source_tree_is_clean_in_single_pass(self):
-        violations, n_files = lint_all_paths(["src"])
-        assert violations == []
-        assert n_files > 50
-
-    def test_single_pass_agrees_with_per_family_drivers(self, tmp_path):
-        (tmp_path / "dirty.py").write_text(
-            TestRep013.SET_APPEND + TestRep016.FAST_MATH
-        )
-        single, _ = lint_all_paths([str(tmp_path)])
-        family, _ = determinism_lint_paths([str(tmp_path)])
-        assert set(rules_of(single)) >= set(rules_of(family))
-        assert {"REP013", "REP016"} <= set(rules_of(single))
-
     def test_rule_subset_routing(self, tmp_path):
         (tmp_path / "dirty.py").write_text(
             TestRep013.SET_APPEND + TestRep016.FAST_MATH
         )
-        only_16, _ = lint_all_paths([str(tmp_path)], rules=["REP016"])
+        only_16, _ = lint_paths([str(tmp_path)], rules=["REP016"])
         assert set(rules_of(only_16)) == {"REP016"}
 
 

@@ -1,5 +1,6 @@
-"""The REP001-REP004 invariant linter: failing fixtures, clean
-counterexamples, the noqa escape hatch, and the CLI surfaces."""
+"""The lint core: REP001's failing fixtures and clean counterexamples,
+the noqa escape hatch, the one driver (rule table, rule selection, the
+whole-tree self-lint) and the CLI surface."""
 
 import json
 
@@ -9,8 +10,12 @@ from repro.checkers.hotpath import hot_path, is_hot_path
 from repro.checkers.linter import RULES, lint_paths, lint_source, to_json
 
 
-def codes(source, **kw):
-    return [v.rule for v in lint_source(source, **kw)]
+#: the rules these fixtures exercise
+CORE = ["REP001"]
+
+
+def codes(source, rules=CORE, **kw):
+    return [v.rule for v in lint_source(source, rules=rules, **kw)]
 
 
 class TestHotPathMarker:
@@ -64,13 +69,13 @@ def cold(f):
 """
 
     def test_allocating_call_flagged(self):
-        vs = lint_source(self.BAD)
+        vs = lint_source(self.BAD, rules=CORE)
         assert [v.rule for v in vs] == ["REP001"]
         assert "np.zeros" in vs[0].message
         assert vs[0].line == 7
 
     def test_loop_operator_temporary_flagged(self):
-        vs = lint_source(self.LOOP_TEMP)
+        vs = lint_source(self.LOOP_TEMP, rules=CORE)
         assert [v.rule for v in vs] == ["REP001"]
         assert "operator temporary" in vs[0].message
 
@@ -120,7 +125,7 @@ from repro.checkers import hot_path
 
 @hot_path
 def kernel(f):
-    buf = np.empty(f.shape)  # repro: noqa-REP002
+    buf = np.empty(f.shape)  # repro: noqa-REP013
     return buf
 """
         assert codes(src) == ["REP001"]
@@ -132,300 +137,8 @@ from repro.checkers import hot_path
 
 @hot_path
 def kernel(f):
-    buf = np.empty(f.shape)  # repro: noqa-REP002, REP001
+    buf = np.empty(f.shape)  # repro: noqa-REP013, REP001
     return buf
-"""
-        assert codes(src) == []
-
-
-class TestRep002:
-    NOT_FRESH = """
-def send(comm, f):
-    view = f[1:3]
-    comm.Send(view, dest=1, tag=5, move=True)
-"""
-
-    USE_AFTER = """
-import numpy as np
-
-def send(comm, f):
-    buf = np.empty((4,))
-    buf[:] = f[:4]
-    comm.Send(buf, dest=1, tag=5, move=True)
-    return buf.sum()
-"""
-
-    CLEAN = """
-import numpy as np
-
-def send(comm, f):
-    buf = np.empty((4,))
-    buf[:] = f[:4]
-    comm.Send(buf, dest=1, tag=5, move=True)
-"""
-
-    def test_non_fresh_payload_flagged(self):
-        assert codes(self.NOT_FRESH) == ["REP002"]
-
-    def test_use_after_move_flagged(self):
-        vs = lint_source(self.USE_AFTER)
-        assert [v.rule for v in vs] == ["REP002"]
-        assert "after Send(move=True)" in vs[0].message
-
-    def test_fresh_dead_buffer_is_clean(self):
-        assert codes(self.CLEAN) == []
-
-    def test_pool_take_counts_as_fresh(self):
-        src = """
-def send(comm, pool, f):
-    buf = pool.take(f.shape)
-    buf[...] = f
-    comm.Send(buf, dest=1, tag=5, move=True)
-"""
-        assert codes(src) == []
-
-    def test_non_name_payload_flagged(self):
-        src = """
-def send(comm, f):
-    comm.Send(f[1:3], dest=1, tag=5, move=True)
-"""
-        assert codes(src) == ["REP002"]
-
-    def test_plain_send_not_checked(self):
-        assert codes("def f(comm, x):\n    comm.Send(x[1:], dest=1, tag=5)\n") == []
-
-    def test_rebinding_after_move_is_clean(self):
-        src = """
-import numpy as np
-
-def send(comm, f):
-    buf = np.empty((4,))
-    comm.Send(buf, dest=1, tag=5, move=True)
-    buf = np.empty((8,))
-    return buf
-"""
-        assert codes(src) == []
-
-
-class TestRep003:
-    DRIFT = """
-from repro.parallel.simmpi import SimMPI
-
-def exchange(comm, x, base, k):
-    comm.Send(x, dest=1, tag=base + 8 * k)
-    return comm.Recv(source=0, tag=base + 4 * k)
-"""
-
-    MATCHED = """
-from repro.parallel.simmpi import SimMPI
-
-def exchange(comm, x, base, k, p):
-    comm.Send(x, dest=1, tag=base + 4 * (1 - p))
-    return comm.Recv(source=0, tag=base + 4 * p)
-"""
-
-    def test_stride_drift_flagged(self):
-        vs = lint_source(self.DRIFT)
-        assert {v.rule for v in vs} == {"REP003"}
-        assert any("Send tag" in v.message for v in vs)
-        assert any("Recv tag" in v.message for v in vs)
-
-    def test_structural_match_is_clean(self):
-        assert codes(self.MATCHED) == []
-
-    def test_constant_tags_matched_by_value(self):
-        good = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm, x):
-    comm.Send(x, dest=0, tag=999)
-    return comm.Recv(source=1, tag=999)
-"""
-        bad = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm, x):
-    comm.Send(x, dest=0, tag=999)
-    return comm.Recv(source=1, tag=998)
-"""
-        assert codes(good) == []
-        assert codes(bad) == ["REP003", "REP003"]
-
-    def test_any_tag_recv_is_wildcard(self):
-        src = """
-from repro.parallel.simmpi import ANY_TAG, SimMPI
-
-def f(comm, x, weird):
-    comm.Send(x, dest=0, tag=3 * weird)
-    return comm.Recv(source=1, tag=ANY_TAG)
-"""
-        assert codes(src) == []
-
-    def test_send_only_module_skipped(self):
-        # forwarding layers (e.g. tracing) post no receives of their own
-        src = """
-from repro.parallel.simmpi import SimMPI
-
-def forward(comm, x, odd_tag):
-    comm.Send(x, dest=0, tag=17 * odd_tag)
-"""
-        assert codes(src) == []
-
-    def test_outside_parallel_scope_skipped(self):
-        src = """
-def f(comm, x, base, k):
-    comm.Send(x, dest=1, tag=base + 8 * k)
-    return comm.Recv(source=0, tag=base + 4 * k)
-"""
-        assert codes(src) == []
-
-
-class TestRep004:
-    BAD = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    if comm.rank == 0:
-        comm.barrier()
-"""
-
-    DATAFLOW = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    is_root = comm.rank == 0
-    if is_root:
-        x = comm.allreduce(1)
-"""
-
-    CLEAN = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm, flag):
-    comm.barrier()
-    if comm.rank == 0:
-        print("root")
-    if flag:
-        comm.bcast(1)
-"""
-
-    def test_collective_under_rank_conditional_flagged(self):
-        vs = lint_source(self.BAD)
-        assert [v.rule for v in vs] == ["REP004"]
-        assert "barrier" in vs[0].message
-
-    def test_one_level_dataflow_tracked(self):
-        assert codes(self.DATAFLOW) == ["REP004"]
-
-    def test_unconditional_and_rank_free_are_clean(self):
-        assert codes(self.CLEAN) == []
-
-    def test_string_split_not_confused_with_collective(self):
-        src = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    if comm.rank == 0:
-        return "a,b".split(",")
-"""
-        assert codes(src) == []
-
-    def test_comm_split_under_rank_conditional_flagged(self):
-        src = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    if comm.rank < 2:
-        sub = comm.split(color=0)
-"""
-        assert codes(src) == ["REP004"]
-
-
-class TestRep009:
-    BAD_BARE = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    comm.Isend(b"x", dest=1, tag=0)
-    comm.Recv(source=1, tag=0)
-"""
-
-    BAD_UNUSED = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    req = comm.Irecv(source=1, tag=0)
-    return None
-"""
-
-    CLEAN_WAIT = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    req = comm.Irecv(source=1, tag=0)
-    return req.wait()
-"""
-
-    CLEAN_WAITALL = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    reqs = [comm.Irecv(source=s, tag=0) for s in range(2)]
-    reqs.append(comm.Isend(b"x", dest=1, tag=0))
-    return comm.Waitall(reqs)
-"""
-
-    CLEAN_CONTAINER = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm, recvs):
-    recvs.append((comm.Irecv(source=1, tag=0), "north"))
-    return recvs
-"""
-
-    CLEAN_RETURNED = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    return comm.Irecv(source=1, tag=0)
-"""
-
-    def test_bare_expression_flagged(self):
-        vs = lint_source(self.BAD_BARE)
-        assert [v.rule for v in vs] == ["REP009"]
-        assert "Isend" in vs[0].message
-
-    def test_assigned_never_used_flagged(self):
-        vs = lint_source(self.BAD_UNUSED)
-        assert [v.rule for v in vs] == ["REP009"]
-        assert "'req'" in vs[0].message
-
-    def test_waited_request_clean(self):
-        assert codes(self.CLEAN_WAIT) == []
-
-    def test_waitall_clean(self):
-        assert codes(self.CLEAN_WAITALL) == []
-
-    def test_container_flow_assumed_waited(self):
-        assert codes(self.CLEAN_CONTAINER) == []
-
-    def test_returned_request_clean(self):
-        assert codes(self.CLEAN_RETURNED) == []
-
-    def test_outside_parallel_scope_ignored(self):
-        src = """
-def f(comm):
-    comm.Isend(b"x", dest=1, tag=0)
-"""
-        assert codes(src) == []
-
-    def test_noqa_suppresses(self):
-        src = """
-from repro.parallel.simmpi import SimMPI
-
-def f(comm):
-    comm.Isend(b"x", dest=1, tag=0)  # repro: noqa-REP009
-    comm.Recv(source=1, tag=0)
 """
         assert codes(src) == []
 
@@ -433,23 +146,28 @@ def f(comm):
 class TestDriver:
     def test_rules_filter(self):
         both = TestRep001.BAD + """
-def g(comm, f):
-    comm.Send(f[1:], dest=1, tag=5, move=True)
+def plan(items):
+    out = []
+    for x in set(items):
+        out.append(x)
+    return out
 """
-        assert set(codes(both)) == {"REP001", "REP002"}
+        assert set(codes(both, rules=None)) == {"REP001", "REP013"}
         assert codes(both, rules=["REP001"]) == ["REP001"]
 
     def test_registry_covers_all_rules(self):
-        assert sorted(RULES) == ["REP001", "REP002", "REP003", "REP004", "REP009"]
+        assert set(CORE) <= set(RULES)
+        assert all(isinstance(summary, str) and callable(check)
+                   for summary, check in RULES.values())
 
     def test_violations_sorted_and_located(self):
-        vs = lint_source(TestRep001.BAD, path="fixture.py")
+        vs = lint_source(TestRep001.BAD, path="fixture.py", rules=CORE)
         assert vs[0].path == "fixture.py"
         assert vs[0].line > 0 and vs[0].col >= 0
         assert "fixture.py:7" in vs[0].format()
 
     def test_json_output_round_trips(self):
-        vs = lint_source(TestRep001.BAD, path="fixture.py")
+        vs = lint_source(TestRep001.BAD, path="fixture.py", rules=CORE)
         doc = json.loads(to_json(vs, 1))
         assert doc["count"] == 1 and doc["files"] == 1
         assert doc["violations"][0]["rule"] == "REP001"
@@ -463,7 +181,7 @@ def g(comm, f):
     def test_lint_paths_accepts_single_file(self, tmp_path):
         f = tmp_path / "mod.py"
         f.write_text(TestRep001.BAD)
-        violations, n_files = lint_paths([str(f)])
+        violations, n_files = lint_paths([str(f)], rules=CORE)
         assert n_files == 1
         assert [v.rule for v in violations] == ["REP001"]
         assert violations[0].path == str(f)
@@ -476,12 +194,16 @@ class TestCli:
         assert main(["lint", "src/repro/checkers"]) == 0
         assert "0 violations" in capsys.readouterr().out
 
-    def test_lint_json_mode(self, capsys):
+    def test_lint_json_mode(self, tmp_path, capsys):
         from repro.cli import main
 
-        main(["lint", "--format", "json", "src/repro/checkers"])
+        f = tmp_path / "bad.py"
+        f.write_text(TestRep001.BAD)
+        with pytest.raises(SystemExit):
+            main(["lint", "--format", "json", str(f)])
         doc = json.loads(capsys.readouterr().out)
-        assert doc["count"] == 0 and doc["files"] >= 4
+        assert doc["count"] == 1 and doc["files"] == 1
+        assert doc["violations"][0]["rule"] == "REP001"
 
     def test_lint_failing_file_exits_nonzero(self, tmp_path, capsys):
         from repro.cli import main
@@ -498,3 +220,12 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["lint", "--rules", "REP999", "src/repro/checkers"])
+
+    @pytest.mark.parametrize("flag", ["--all", "--shapes", "--schedule"])
+    def test_retired_family_flags_rejected(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", flag, "src/repro/checkers"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

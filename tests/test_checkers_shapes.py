@@ -1,31 +1,13 @@
-"""The REP005-REP008 symbolic shape/dtype pass: the annotation
-vocabulary, failing fixtures per rule, clean counterexamples, the noqa
-escape hatch, property tests over reshape/transpose/stack, and the CLI
-surfaces."""
-
-import json
+"""The shape/dtype annotation vocabulary the runtime contracts enforce."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.checkers.linter import to_json
 from repro.checkers.shapes import (
-    SHAPE_RULES,
     Array,
     Float32,
     Float64,
     ShapeSpec,
-    shape_lint_paths,
-    shape_lint_source,
 )
-
-
-def codes(source, **kw):
-    return [v.rule for v in shape_lint_source(source, **kw)]
-
-
-HEADER = "from repro.checkers.shapes import Array, Float32, Float64\nimport numpy as np\n"
 
 
 class TestVocabulary:
@@ -59,401 +41,3 @@ class TestVocabulary:
     def test_repr_round_trips_visually(self):
         assert "Float64" in repr(Float64["nr", 3])
         assert "'nr'" in repr(Float64["nr", 3])
-
-
-class TestRep005:
-    MISMATCH = HEADER + """
-def f(a: Float64["nr", "nth"], b: Float64["nth", "nr"]):
-    return a + b
-"""
-
-    CONSISTENT = HEADER + """
-def f(a: Float64["nr", "nth"], b: Float64["nr", "nth"]):
-    return a * b
-"""
-
-    CALL_BINDING = HEADER + """
-def inner(x: Float64["n"], y: Float64["n"]):
-    return x + y
-
-def outer(a: Float64["p"], b: Float64["q"]):
-    return inner(a, b)
-"""
-
-    RETURN = HEADER + """
-def f(a: Float64["nr", "nth"]) -> Float64["nth", "nr"]:
-    return a
-"""
-
-    def test_elementwise_mismatch_flagged(self):
-        vs = shape_lint_source(self.MISMATCH)
-        assert {v.rule for v in vs} == {"REP005"}
-        assert any("dimension mismatch" in v.message for v in vs)
-
-    def test_consistent_symbols_clean(self):
-        assert codes(self.CONSISTENT) == []
-
-    def test_call_boundary_binding_conflict(self):
-        # 'n' binds to 'p' via the first argument, so the second ('q')
-        # provably disagrees inside one call
-        vs = shape_lint_source(self.CALL_BINDING)
-        assert "REP005" in [v.rule for v in vs]
-
-    def test_return_annotation_checked_against_params(self):
-        assert "REP005" in codes(self.RETURN)
-
-    def test_propagates_through_zeros_like(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth"], b: Float64["nth", "nr"]):
-    t = np.zeros_like(a)
-    return t + b
-"""
-        assert "REP005" in codes(src)
-
-    def test_int_vs_symbol_is_not_provable(self):
-        src = HEADER + """
-def f(a: Float64["nr", 3], b: Float64["nr", "k"]):
-    return a + b
-"""
-        assert codes(src) == []
-
-
-class TestRep006:
-    BROADCAST = HEADER + """
-def f(a: Float64["nr", "nth", "nph"], w: Float64["nth", "nph"]):
-    return a * w
-"""
-
-    LIFTED = HEADER + """
-def f(a: Float64["nr", "nth", "nph"], w: Float64["nth", "nph"]):
-    return a * w[None, :, :]
-"""
-
-    METRIC = HEADER + """
-def f(a: Float64["nr", "nth", "nph"], inv_r: Float64["nr", 1, 1]):
-    return a * inv_r
-"""
-
-    def test_rank_changing_broadcast_flagged(self):
-        vs = shape_lint_source(self.BROADCAST)
-        assert [v.rule for v in vs] == ["REP006"]
-        assert "broadcast" in vs[0].message
-
-    def test_explicit_newaxis_lift_is_clean(self):
-        assert codes(self.LIFTED) == []
-
-    def test_equal_rank_metric_factor_is_clean(self):
-        # the repo's (nr, 1, 1) metric-coefficient idiom must not fire
-        assert codes(self.METRIC) == []
-
-    def test_incompatible_trailing_dims_are_rep005(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth", "nph"], w: Float64["nph", "nth"]):
-    return a * w
-"""
-        assert "REP005" in codes(src)
-
-
-class TestRep007:
-    RETURN_DRIFT = HEADER + """
-def f(a: Float64["n"]) -> Float64["n"]:
-    return a.astype(np.float32)
-"""
-
-    ARG_DRIFT = HEADER + """
-def sink(x: Float64["n"]):
-    return x
-
-def f(a: Float32["n"]):
-    return sink(a)
-"""
-
-    def test_return_downcast_flagged(self):
-        vs = shape_lint_source(self.RETURN_DRIFT)
-        assert [v.rule for v in vs] == ["REP007"]
-        assert "float32" in vs[0].message and "float64" in vs[0].message
-
-    def test_argument_drift_flagged(self):
-        assert "REP007" in codes(self.ARG_DRIFT)
-
-    def test_only_the_float_pair_is_flagged(self):
-        src = HEADER + """
-def sink(x: Float64["n"]):
-    return x
-
-def f(a: Array["n"]):
-    return sink(a)
-"""
-        assert codes(src) == []
-
-    def test_out_buffer_downcast_flagged(self):
-        src = HEADER + """
-def f(a: Float64["n"], buf: Float32["n"]):
-    np.multiply(a, 2.0, out=buf)
-    return buf
-"""
-        assert "REP007" in codes(src)
-
-
-class TestRep008:
-    RESHAPE = HEADER + """
-def f(a: Float64["nr", "nth"]):
-    return a.reshape(3, "x")
-"""
-
-    def test_reshape_element_count_change_flagged(self):
-        src = HEADER + """
-def f():
-    x = np.zeros((3, 4))
-    return x.reshape(5, 4)
-"""
-        vs = shape_lint_source(src)
-        assert [v.rule for v in vs] == ["REP008"]
-        assert "element count" in vs[0].message
-
-    def test_reshape_permutation_of_symbols_clean(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth", "nph"], nr: int, nth: int, nph: int):
-    return a.reshape(nph, nr, nth)
-"""
-        assert codes(src) == []
-
-    def test_reshape_wildcard_silent(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth"]):
-    return a.reshape(-1)
-"""
-        assert codes(src) == []
-
-    def test_transpose_bad_axes_flagged(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth", "nph"]):
-    return np.transpose(a, (0, 1))
-"""
-        vs = shape_lint_source(src)
-        assert [v.rule for v in vs] == ["REP008"]
-        assert "permutation" in vs[0].message
-
-    def test_transpose_valid_permutation_clean(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth", "nph"]):
-    return np.transpose(a, (2, 0, 1))
-"""
-        assert codes(src) == []
-
-    def test_stack_of_different_shapes_flagged(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth"], b: Float64["nr", "nph"]):
-    return np.stack([a, b])
-"""
-        vs = shape_lint_source(src)
-        assert [v.rule for v in vs] == ["REP008"]
-        assert "stack" in vs[0].message
-
-    def test_stack_of_congruent_shapes_clean(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth"], b: Float64["nr", "nth"]):
-    return np.stack([a, b])
-"""
-        assert codes(src) == []
-
-    def test_concatenate_ignores_the_concat_axis(self):
-        src = HEADER + """
-def f(a: Float64["nr", "nth"], b: Float64["mr", "nth"]):
-    return np.concatenate([a, b], axis=0)
-"""
-        assert codes(src) == []
-
-
-class TestNoqa:
-    def test_noqa_suppresses_each_rule(self):
-        fixtures = {
-            "REP005": 'def f(a: Float64["n"], b: Float64["m"]):\n'
-                      "    return a + b  # repro: noqa-REP005\n",
-            "REP006": 'def f(a: Float64["n", "m"], w: Float64["m"]):\n'
-                      "    return a * w  # repro: noqa-REP006\n",
-            "REP007": 'def f(a: Float64["n"]) -> Float64["n"]:\n'
-                      "    return a.astype(np.float32)  # repro: noqa-REP007\n",
-            "REP008": "def f():\n"
-                      "    x = np.zeros((3, 4))\n"
-                      "    return x.reshape(5, 4)  # repro: noqa-REP008\n",
-        }
-        for rule, body in fixtures.items():
-            assert codes(HEADER + body) == [], rule
-
-    def test_noqa_is_rule_specific(self):
-        src = HEADER + (
-            'def f(a: Float64["n"], b: Float64["m"]):\n'
-            "    return a + b  # repro: noqa-REP008\n"
-        )
-        assert codes(src) == ["REP005"]
-
-
-SYMS = st.lists(
-    st.sampled_from(["na", "nb", "nc", "nd"]), min_size=2, max_size=4, unique=True
-)
-
-
-class TestPropertyReshape:
-    @given(dims=SYMS, data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_reshape_to_permutation_is_clean(self, dims, data):
-        perm = data.draw(st.permutations(dims))
-        args = ", ".join(f"{d}: int" for d in dims)
-        src = HEADER + (
-            f"def f(a: Float64[{', '.join(map(repr, dims))}], {args}):\n"
-            f"    return a.reshape({', '.join(perm)})\n"
-        )
-        assert codes(src) == []
-
-    @given(dims=SYMS, data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_reshape_with_foreign_symbol_is_flagged(self, dims, data):
-        perm = list(data.draw(st.permutations(dims)))
-        perm[data.draw(st.integers(0, len(perm) - 1))] = "fresh"
-        names = sorted(set(dims) | {"fresh"})
-        args = ", ".join(f"{d}: int" for d in names)
-        src = HEADER + (
-            f"def f(a: Float64[{', '.join(map(repr, dims))}], {args}):\n"
-            f"    return a.reshape({', '.join(perm)})\n"
-        )
-        assert codes(src) == ["REP008"]
-
-
-class TestPropertyTranspose:
-    @given(dims=SYMS, data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_valid_permutation_clean_and_tracked(self, dims, data):
-        perm = data.draw(st.permutations(range(len(dims))))
-        # the transposed result must *propagate*: adding it to an array
-        # annotated with the permuted dims stays clean, while a mismatch
-        # against the original annotation is caught
-        permuted = [dims[i] for i in perm]
-        src = HEADER + (
-            f"def f(a: Float64[{', '.join(map(repr, dims))}], "
-            f"b: Float64[{', '.join(map(repr, permuted))}]):\n"
-            f"    t = np.transpose(a, {tuple(perm)})\n"
-            f"    return t + b\n"
-        )
-        assert codes(src) == []
-
-    @given(dims=SYMS, data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_wrong_length_axes_flagged(self, dims, data):
-        k = data.draw(st.integers(1, len(dims) - 1))
-        axes = tuple(range(k))
-        src = HEADER + (
-            f"def f(a: Float64[{', '.join(map(repr, dims))}]):\n"
-            f"    return np.transpose(a, {axes})\n"
-        )
-        assert codes(src) == ["REP008"]
-
-
-class TestPropertyStack:
-    @given(dims=SYMS, n=st.integers(2, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_congruent_stack_is_clean(self, dims, n):
-        spec = ", ".join(map(repr, dims))
-        params = ", ".join(f"a{i}: Float64[{spec}]" for i in range(n))
-        arrays = ", ".join(f"a{i}" for i in range(n))
-        src = HEADER + (
-            f"def f({params}):\n"
-            f"    return np.stack([{arrays}])\n"
-        )
-        assert codes(src) == []
-
-    @given(dims=SYMS, data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_one_divergent_axis_is_flagged(self, dims, data):
-        other = list(dims)
-        other[data.draw(st.integers(0, len(dims) - 1))] = "odd"
-        src = HEADER + (
-            f"def f(a: Float64[{', '.join(map(repr, dims))}], "
-            f"b: Float64[{', '.join(map(repr, other))}]):\n"
-            f"    return np.stack([a, b])\n"
-        )
-        assert codes(src) == ["REP008"]
-
-
-class TestDriver:
-    def test_registry_covers_all_rules(self):
-        assert sorted(SHAPE_RULES) == ["REP005", "REP006", "REP007", "REP008"]
-
-    def test_rules_filter(self):
-        src = TestRep005.MISMATCH + TestRep007.RETURN_DRIFT.removeprefix(HEADER).replace(
-            "def f", "def g"
-        )
-        assert set(codes(src)) == {"REP005", "REP007"}
-        assert set(codes(src, rules=["REP007"])) == {"REP007"}
-
-    def test_json_output_round_trips(self):
-        vs = shape_lint_source(TestRep005.MISMATCH, path="fixture.py")
-        doc = json.loads(to_json(vs, 1))
-        assert doc["count"] == len(vs) >= 1
-        assert doc["violations"][0]["rule"] == "REP005"
-        assert doc["violations"][0]["path"] == "fixture.py"
-
-    def test_source_tree_is_shape_clean(self):
-        # the shipped tree carries the annotations and must stay clean
-        violations, n_files = shape_lint_paths(["src"])
-        assert n_files > 50
-        assert violations == []
-
-    def test_cross_file_registry(self, tmp_path):
-        (tmp_path / "defs.py").write_text(HEADER + """
-def stencil(f: Float64["nr", "nth"]) -> Float64["nr", "nth"]:
-    return f
-""")
-        (tmp_path / "use.py").write_text(HEADER + """
-def caller(a: Float64["nth", "nr"], b: Float64["nr", "nth"]):
-    return stencil(a) + b
-""")
-        violations, n_files = shape_lint_paths([str(tmp_path)])
-        assert n_files == 2
-        assert {v.rule for v in violations} == {"REP005"}
-
-
-class TestCli:
-    def test_lint_shapes_clean_exit(self, capsys):
-        from repro.cli import main
-
-        assert main(["lint", "--shapes", "src/repro/checkers"]) == 0
-        assert "0 violations" in capsys.readouterr().out
-
-    def test_shapes_on_by_default(self, tmp_path, capsys):
-        """Every rule family runs by default: the default single-pass
-        lint catches a REP005 shape mismatch without ``--shapes``."""
-        from repro.cli import main
-
-        f = tmp_path / "bad.py"
-        f.write_text(TestRep005.MISMATCH)
-        with pytest.raises(SystemExit) as exc:
-            main(["lint", str(f)])
-        assert exc.value.code == 1
-        assert "REP005" in capsys.readouterr().out
-
-    def test_lint_shapes_failing_file_exits_nonzero(self, tmp_path, capsys):
-        from repro.cli import main
-
-        f = tmp_path / "bad.py"
-        f.write_text(TestRep005.MISMATCH)
-        with pytest.raises(SystemExit) as exc:
-            main(["lint", "--shapes", str(f)])
-        assert exc.value.code == 1
-        assert "REP005" in capsys.readouterr().out
-
-    def test_explicit_shape_rule_selection(self, tmp_path, capsys):
-        from repro.cli import main
-
-        f = tmp_path / "bad.py"
-        f.write_text(TestRep005.MISMATCH)
-        with pytest.raises(SystemExit):
-            main(["lint", "--rules", "REP005", "--format", "json", str(f)])
-        doc = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in doc["violations"]} == {"REP005"}
-
-    def test_unknown_rule_rejected(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["lint", "--rules", "REP042", "src/repro/checkers"])

@@ -88,6 +88,17 @@ class TestCommands:
         assert f"RESTART: {bad}: damaged checkpoint archive (BadZipFile" in out
         assert "Traceback" not in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--nr", "2", "--steps", "1"], "run: nr must be >= 5, got 2"),
+        (["--nth", "2"], "run: nth must be >= 8, got 2"),
+        (["--steps", "-3"], "run: steps must be >= 0, got -3"),
+    ])
+    def test_run_bad_grid_or_steps_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out.strip() == message
+
     def test_backends(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,9 @@
-"""Compiled stencil backend vs the NumPy reference, element for element.
+"""Compiled kernel backend vs the NumPy reference, element for element.
 
 The C kernels were written to mirror NumPy's per-operation rounding
 (left-associated accumulation, ``-ffp-contract=off``), so equality here
-is *bitwise*, not approximate.  Hypothesis drives random shapes, axes
-and strides — including non-contiguous views, which the wrappers must
-copy through without changing results.
+is *bitwise*, not approximate: the elementwise state algebra, the fused
+RHS and a whole serial dynamo run.
 """
 
 from __future__ import annotations
@@ -24,104 +23,9 @@ pytestmark = pytest.mark.skipif(
 
 
 def _ck():
-    from repro.fd.ckernels import stencils as ck_stencils
+    from repro.fd.ckernels import elementwise
 
-    return ck_stencils
-
-
-OPS = ("diff", "diff2", "diff_raw", "diff2_raw")
-
-
-@st.composite
-def _arrays(draw):
-    ndim = draw(st.integers(min_value=1, max_value=3))
-    shape = tuple(draw(st.integers(min_value=3, max_value=8)) for _ in range(ndim))
-    axis = draw(st.integers(min_value=0, max_value=ndim - 1))
-    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    rng = np.random.default_rng(seed)
-    f = rng.standard_normal(shape)
-    return f, axis
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=_arrays(), op=st.sampled_from(OPS))
-def test_stencils_bitwise_equal(case, op):
-    f, axis = case
-    ck = _ck()
-    if op.endswith("_raw"):
-        expected = getattr(np_stencils, op)(f, axis)
-        got = getattr(ck, op)(f, axis)
-    else:
-        expected = getattr(np_stencils, op)(f, 0.1, axis)
-        got = getattr(ck, op)(f, 0.1, axis)
-    np.testing.assert_array_equal(got, expected)
-
-
-@settings(max_examples=30, deadline=None)
-@given(case=_arrays(), op=st.sampled_from(OPS))
-def test_stencils_noncontiguous_input(case, op):
-    """Strided (non-C-contiguous) views go through a copy, same results."""
-    f, axis = case
-    big = np.zeros(tuple(2 * n for n in f.shape))
-    view = big[tuple(slice(0, 2 * n, 2) for n in f.shape)]
-    view[...] = f
-    assert not view.flags["C_CONTIGUOUS"]
-    ck = _ck()
-    if op.endswith("_raw"):
-        expected = getattr(np_stencils, op)(f, axis)
-        got = getattr(ck, op)(view, axis)
-    else:
-        expected = getattr(np_stencils, op)(f, 0.1, axis)
-        got = getattr(ck, op)(view, 0.1, axis)
-    np.testing.assert_array_equal(got, expected)
-
-
-def test_out_param_and_flat_last_axis():
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal((6, 5, 9))
-    ck = _ck()
-    for axis in range(3):
-        out = np.empty_like(f)
-        res = ck.diff(f, 0.25, axis, out=out)
-        assert res is out
-        np.testing.assert_array_equal(out, np_stencils.diff(f, 0.25, axis))
-        out2 = np.empty_like(f)
-        res2 = ck.diff2_raw(f, axis, out=out2)
-        assert res2 is out2
-        np.testing.assert_array_equal(out2, np_stencils.diff2_raw(f, axis))
-
-
-def test_out_aliasing_rejected():
-    f = np.zeros((4, 4))
-    ck = _ck()
-    with pytest.raises(ValueError, match="alias"):
-        ck.diff(f, 0.1, 0, out=f)
-
-
-def test_short_axis_rejected():
-    f = np.zeros((2, 5))
-    ck = _ck()
-    with pytest.raises(ValueError):
-        ck.diff(f, 0.1, 0)
-
-
-def test_non_float64_delegates_to_numpy():
-    f = np.arange(24, dtype=np.float32).reshape(4, 6)
-    ck = _ck()
-    got = ck.diff(f, 0.5, 1)
-    np.testing.assert_array_equal(got, np_stencils.diff(f, 0.5, 1))
-
-
-def test_counters_track_compiled_sweeps():
-    f = np.random.default_rng(1).standard_normal((5, 6, 7))
-    ck = _ck()
-    np_stencils.reset_stencil_counts()
-    ck.diff(f, 0.1, 0)
-    ck.diff_raw(f, 1)
-    ck.diff2(f, 0.1, 2)
-    ck.diff2_raw(f, 0)
-    counts = np_stencils.stencil_counts()
-    assert counts == {"diff": 2, "diff2": 2}
+    return elementwise
 
 
 def test_elementwise_iadd_axpy_bitwise():
