@@ -15,25 +15,11 @@ protocol.  This package makes those rules checkable:
     allocation rule REP001.
 :mod:`repro.checkers.sanitize`
     Runtime sanitizers behind ``REPRO_SANITIZE=1`` — NaN-poisoned
-    buffer releases, read-only move-handoff payloads, and the
-    message-protocol recorder (unmatched sends, tag collisions,
-    collective-sequence divergence).
-:mod:`repro.checkers.shapes`
-    The shape/dtype annotation vocabulary (``Array``/``Float64``/
-    ``Float32``) the runtime contracts enforce.
-:mod:`repro.checkers.contracts`
-    Runtime shape contracts behind ``REPRO_CONTRACTS=1`` — the
-    ``@contract`` decorator validating annotated boundaries, a no-op
-    (the undecorated function itself) when disabled.
-:mod:`repro.checkers.schedule`
-    The concurrency analyzer (``repro-paper analyze deadlock``) — a
-    schedule model checker over the solver's per-rank comm-event
-    programs, proving deadlock-freedom or producing a minimal
-    blocked-cycle witness.
+    buffer releases, double-release detection, and the protocol
+    recorder (collective-sequence divergence, unwaited non-blocking
+    requests); each hook earned its place in a mutation audit.
 :mod:`repro.checkers.hb`
-    The dynamic happens-before layer — vector clocks, in-flight
-    buffer-window race detection for the thread backend, and the
-    wait-for graph every backend's blocking ops register with so
+    The wait-for graph every backend's blocking ops register with, so
     timeouts diagnose the per-rank cycle (``DeadlockError``).
 :mod:`repro.checkers.determinism`
     The bitwise-determinism rules REP013-REP016 — nondeterministic
@@ -55,12 +41,6 @@ protocol.  This package makes those rules checkable:
 # its rule table imports them
 from repro.checkers.linter import RULES, Violation, lint_paths, lint_source
 
-from repro.checkers.contracts import (
-    ContractViolation,
-    apply_contract,
-    contract,
-    contracts_enabled,
-)
 from repro.checkers.fingerprint import (
     Divergence,
     Fingerprint,
@@ -71,21 +51,8 @@ from repro.checkers.fingerprint import (
     state_digests,
     states_root_digest,
 )
-from repro.checkers.hb import (
-    HBTracker,
-    PendingOp,
-    WaitForGraph,
-    dominates,
-    merge_clocks,
-)
+from repro.checkers.hb import PendingOp, WaitForGraph
 from repro.checkers.hotpath import hot_path
-from repro.checkers.schedule import (
-    Op,
-    Verdict,
-    Witness,
-    check_deadlock_free,
-    dynamo_step_programs,
-)
 from repro.checkers.sanitize import (
     DoubleRelease,
     ProtocolReport,
@@ -94,40 +61,19 @@ from repro.checkers.sanitize import (
     last_protocol_report,
     sanitize_enabled,
 )
-from repro.checkers.shapes import (
-    Array,
-    Float32,
-    Float64,
-    ShapeSpec,
-)
 
 __all__ = [
     "RULES",
-    "Array",
-    "ContractViolation",
     "Divergence",
     "DoubleRelease",
     "Fingerprint",
-    "Float32",
-    "Float64",
-    "HBTracker",
-    "Op",
     "PendingOp",
     "ProtocolReport",
     "ProtocolViolation",
     "SanitizerError",
-    "ShapeSpec",
-    "Verdict",
     "Violation",
     "WaitForGraph",
-    "Witness",
-    "apply_contract",
     "assert_bitwise_equal",
-    "check_deadlock_free",
-    "contract",
-    "contracts_enabled",
-    "dominates",
-    "dynamo_step_programs",
     "field_digest",
     "fingerprint_state",
     "first_divergence",
@@ -135,7 +81,6 @@ __all__ = [
     "last_protocol_report",
     "lint_paths",
     "lint_source",
-    "merge_clocks",
     "state_digests",
     "states_root_digest",
     "sanitize_enabled",

@@ -1,38 +1,17 @@
-"""Dynamic happens-before layer: vector clocks, wait-for graphs, races.
+"""Wait-for graphs: a runtime hang becomes a named per-rank cycle.
 
-Three cooperating pieces, all pure stdlib (this module must import
-cleanly from anywhere — including the transport modules — so it pulls
-in *nothing* from :mod:`repro.parallel`):
+Every *blocking* operation (``Recv``, a collective rendezvous, a
+shared-arena slot acquire, the launcher join) registers a
+:class:`PendingOp` on entry and clears it on exit.  When a timeout
+fires, the snapshot of per-rank pending ops — who waits on whom, with
+source/tag/collective seq — is attached to the raised
+:class:`~repro.parallel.simmpi.DeadlockError` instead of a bare
+``Recv(...) timed out`` guess.  :meth:`WaitForGraph.find_cycle`
+extracts a blocked cycle from the snapshot when one exists.
 
-``VectorClock`` helpers
-    Plain-tuple vector clocks: one logical counter per rank, merged
-    elementwise on message receipt.  ``dominates(a, b)`` is the
-    happens-before test — event *b* is ordered before event *a* iff
-    ``a[i] >= b[i]`` for every rank ``i``.
-
-``PendingOp`` / ``WaitForGraph``
-    Every *blocking* operation (``Recv``, a collective rendezvous, a
-    shared-arena slot acquire, the launcher join) registers a
-    :class:`PendingOp` on entry and clears it on exit.  When a timeout
-    fires, the snapshot of per-rank pending ops — who waits on whom,
-    with source/tag/collective seq — is attached to the raised
-    :class:`~repro.parallel.simmpi.DeadlockError` instead of the old
-    bare ``Recv(...) timed out`` guess.  :meth:`WaitForGraph.find_cycle`
-    extracts a blocked cycle from the snapshot when one exists.
-
-``HBTracker``
-    Thread-backend race detection for pooled buffers.  A ``move=True``
-    send opens a *window* on the payload buffer; the receiving rank's
-    vector clock at receipt closes it.  If the sender's
-    :class:`~repro.fd.kernels.BufferPool` releases (and poisons) the
-    buffer at a clock that does not dominate the receipt — i.e. the
-    release is concurrent with the in-flight message — that is a racy
-    reuse the one observed schedule may or may not corrupt, and it is
-    reported through ``ProtocolReport.races``.
-
-Armed together with the protocol sanitizer (``REPRO_SANITIZE=1``); the
-wait-for graph itself is always on — registration is two dict writes
-per blocking op (see ``benchmarks/bench_schedule_overhead.py``).
+Always on: registration is two dict writes per blocking op.  This
+module is pure stdlib and pulls in *nothing* from
+:mod:`repro.parallel`, so the transport modules can import it.
 """
 
 from __future__ import annotations
@@ -44,36 +23,7 @@ from dataclasses import dataclass, field
 __all__ = [
     "PendingOp",
     "WaitForGraph",
-    "HBTracker",
-    "dominates",
-    "merge_clocks",
-    "active_tracker",
-    "activate_tracker",
-    "deactivate_tracker",
-    "note_buffer_release",
 ]
-
-
-# --------------------------------------------------------------------------
-# vector clocks
-# --------------------------------------------------------------------------
-
-def merge_clocks(a: tuple, b: tuple) -> tuple:
-    """Elementwise max of two clocks (``None`` acts as the zero clock)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def dominates(a: tuple, b: tuple) -> bool:
-    """True iff clock ``a`` happens-after (or equals) clock ``b``."""
-    if b is None:
-        return True
-    if a is None:
-        return False
-    return all(x >= y for x, y in zip(a, b))
 
 
 # --------------------------------------------------------------------------
@@ -245,167 +195,3 @@ class WaitForGraph:
             d = raw.get(r)
             out[r] = PendingOp.from_dict(d) if isinstance(d, dict) else None
         return out
-
-
-# --------------------------------------------------------------------------
-# happens-before tracker (thread backend)
-# --------------------------------------------------------------------------
-
-class HBTracker:
-    """Vector clocks + in-flight buffer windows for one threaded world."""
-
-    def __init__(self, nranks: int):
-        self.nranks = nranks
-        self._lock = threading.Lock()
-        self._clocks = [[0] * nranks for _ in range(nranks)]
-        self._tls = threading.local()
-        # id(buf) -> window; holds a reference to the buffer so the id
-        # cannot be recycled while the window is open
-        self._windows: dict[int, dict] = {}
-        self._races: list[dict] = []
-
-    # ---- rank threads ------------------------------------------------------
-
-    def register_thread(self, rank: int) -> None:
-        self._tls.rank = rank
-
-    def current_rank(self) -> int | None:
-        return getattr(self._tls, "rank", None)
-
-    # ---- events ------------------------------------------------------------
-
-    def send_event(self, rank: int) -> tuple:
-        with self._lock:
-            c = self._clocks[rank]
-            c[rank] += 1
-            return tuple(c)
-
-    def recv_event(self, rank: int, sender_clock: tuple | None) -> tuple:
-        with self._lock:
-            c = self._clocks[rank]
-            c[rank] += 1
-            if sender_clock is not None:
-                for i, v in enumerate(sender_clock):
-                    if v > c[i]:
-                        c[i] = v
-            return tuple(c)
-
-    def collective_event(self, rank: int, clocks) -> tuple:
-        """Join all participants' clocks (a collective is an all-to-all)."""
-        with self._lock:
-            c = self._clocks[rank]
-            c[rank] += 1
-            for clk in clocks:
-                if clk is None:
-                    continue
-                for i, v in enumerate(clk):
-                    if v > c[i]:
-                        c[i] = v
-            return tuple(c)
-
-    def clock_of(self, rank: int) -> tuple:
-        with self._lock:
-            return tuple(self._clocks[rank])
-
-    # ---- in-flight buffer windows -----------------------------------------
-
-    def open_window(self, rank: int, buf, dest: int, site: str) -> None:
-        """A ``move=True`` payload left ``rank`` for ``dest``: the sender
-        must not recycle it until the receipt is ordered before the
-        release."""
-        with self._lock:
-            # identity-keyed sanitizer window: the key tracks *this*
-            # buffer object's lifetime, never a value
-            self._windows[id(buf)] = {  # repro: noqa-REP015
-                "buf": buf, "src": rank, "dest": dest, "site": site,
-                "open_clock": tuple(self._clocks[rank]),
-                "recv_clock": None,
-            }
-
-    def mark_received(self, rank: int, buf) -> None:
-        with self._lock:
-            # identity lookup of the open window
-            w = self._windows.get(id(buf))  # repro: noqa-REP015
-            if w is not None and w["recv_clock"] is None:
-                w["recv_clock"] = tuple(self._clocks[rank])
-
-    def note_release(self, buf, site_fn=None) -> None:
-        """A buffer went back to a pool (about to be poisoned/reused).
-
-        ``site_fn`` (optional) is called only when a race is recorded,
-        to name the release site without paying a stack walk on every
-        clean release."""
-        rank = self.current_rank()
-        with self._lock:
-            # identity lookup of the open window
-            w = self._windows.get(id(buf))  # repro: noqa-REP015
-            if w is None:
-                return
-            recv_clock = w["recv_clock"]
-            release_clock = None if rank is None else tuple(self._clocks[rank])
-            if recv_clock is None:
-                why = "released while the message is still in flight"
-                racy = True
-            elif rank is None:
-                why = "released from an unregistered thread (unordered)"
-                racy = True
-            elif not dominates(release_clock, recv_clock):
-                why = ("release is concurrent with the receipt "
-                       "(no happens-before edge back to the sender)")
-                racy = True
-            else:
-                why, racy = "", False
-            if racy:
-                self._races.append({
-                    "src": w["src"], "dest": w["dest"],
-                    "open_site": w["site"],
-                    "release_site": site_fn() if site_fn is not None else "",
-                    "release_rank": rank, "why": why,
-                })
-            del self._windows[id(buf)]  # repro: noqa-REP015 — identity key
-
-    def races(self) -> list[dict]:
-        with self._lock:
-            return list(self._races)
-
-    def open_windows(self) -> int:
-        with self._lock:
-            return len(self._windows)
-
-
-# --------------------------------------------------------------------------
-# module-level hook for BufferPool (avoids a kernels -> parallel import)
-# --------------------------------------------------------------------------
-
-_active_lock = threading.Lock()
-_active: list[HBTracker] = []
-
-
-def activate_tracker(tracker: HBTracker) -> None:
-    with _active_lock:
-        _active.append(tracker)
-
-
-def deactivate_tracker(tracker: HBTracker) -> None:
-    with _active_lock:
-        if tracker in _active:
-            _active.remove(tracker)
-
-
-def active_tracker() -> HBTracker | None:
-    with _active_lock:
-        return _active[-1] if _active else None
-
-
-def note_buffer_release(buf) -> None:
-    """Called by :class:`~repro.fd.kernels.BufferPool` under sanitize."""
-    t = active_tracker()
-    if t is None:
-        return
-
-    def site_fn() -> str:
-        # best-effort call site; sanitize's walker skips checker frames
-        from repro.checkers.sanitize import _send_site
-        return _send_site()
-
-    t.note_release(buf, site_fn)

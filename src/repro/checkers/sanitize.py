@@ -1,35 +1,30 @@
-"""Runtime sanitizers for buffer ownership and message protocol.
+"""Runtime sanitizers for buffer ownership and the collective protocol.
 
 Everything here is gated on the ``REPRO_SANITIZE`` environment variable
 (set it to ``1``); with the variable unset the hooks cost one ``None``
-check.  Three behaviours turn on:
+check.  Each hook stays because a mutation audit found a real-code bug
+it catches and the tier-1 suite misses (docs/STATIC_ANALYSIS.md,
+"Runtime checker audit"):
 
 * :class:`repro.fd.kernels.BufferPool` poisons released buffers with
   NaN — a kernel that reads a buffer after ``give()`` propagates NaN
   into its output immediately instead of silently reusing stale data —
   and a double ``give()`` of the same array raises
   :class:`DoubleRelease`.
-* ``Send(..., move=True)`` flips the payload's ``writeable`` flag off,
-  so a write-after-move raises ``ValueError`` at the offending store.
-* Communicators record the message protocol; at world finalize the
-  recorder checks for unmatched sends (a message no receive drained),
-  tag collisions, per-rank collective-sequence divergence (a
-  collective under a rank-dependent branch), and unwaited non-blocking
-  requests (an ``Isend``/``Irecv`` handle that was never
-  ``Wait``-ed).  Any finding raises
-  :class:`ProtocolViolation` from ``SimMPI.run``; the full report stays
-  inspectable through :func:`last_protocol_report`.
-
-  A *collision* is two simultaneously in-flight messages with the same
-  ``(comm, source, dest, tag)`` sent from **different source lines** —
-  two independent logical streams (say halo and overset) whose tag
-  ranges drifted into overlap, so FIFO matching silently crosses them.
-  Same-line repeats (a loop posting a burst on one tag) are the FIFO
-  streams MPI defines and are not flagged.
+* Communicators record each rank's collective sequence and the
+  lifetime of every non-blocking request; at world finalize a
+  per-rank collective-sequence divergence (a collective under a
+  rank-dependent branch) or an ``Isend``/``Irecv`` handle that was
+  never ``Wait``-ed raises :class:`ProtocolViolation` from the
+  launcher; the full report stays inspectable through
+  :func:`last_protocol_report`.
 
 Poisoning only ever writes to buffers whose contents are contractually
-arbitrary, and freezing never changes values — so a program that obeys
-the ownership rules is bitwise identical with the sanitizer on.
+arbitrary, so a program that obeys the ownership rules is bitwise
+identical with the sanitizer on.
+
+:class:`ProtocolViolation` is also what the wire-frame and message-plan
+validation of the transports raise, armed or not.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,7 +43,6 @@ __all__ = [
     "ProtocolReport",
     "ProtocolViolation",
     "SanitizerError",
-    "freeze_payload",
     "last_protocol_report",
     "poison_buffer",
     "sanitize_enabled",
@@ -73,7 +66,8 @@ class DoubleRelease(SanitizerError):
 
 
 class ProtocolViolation(SanitizerError):
-    """The message-protocol recorder found an inconsistency at finalize."""
+    """The message protocol is inconsistent: a recorder finding at
+    finalize, or a malformed or mis-planned message on the wire."""
 
 
 def poison_buffer(arr: np.ndarray) -> None:
@@ -82,32 +76,20 @@ def poison_buffer(arr: np.ndarray) -> None:
         arr.fill(np.nan)
 
 
-def freeze_payload(payload: Any) -> None:
-    """Make a move-handoff payload read-only so write-after-move raises."""
-    if isinstance(payload, np.ndarray):
-        payload.flags.writeable = False
-
-
-#: (comm id, source rank, dest rank, tag) — the message matching key.
-_MsgKey = tuple[str, int, int, int]
-
-
-#: Modules whose frames are transport plumbing, not logical send sites.
+#: Modules whose frames are transport plumbing, not logical call sites.
 _TRANSPORT_MODULES = (
     "repro.parallel.simmpi",
     "repro.parallel.procmpi",
     "repro.parallel.sockmpi",
-    "repro.parallel.frames",
     "repro.parallel.transport",
     "repro.parallel.tracing",
     "repro.checkers",
 )
 
 
-def _send_site() -> str:
-    """``file:line`` of the frame that initiated the current send,
-    skipping the transport layer's own frames (halo/overset pack
-    routines *are* logical send sites and are kept)."""
+def _call_site() -> str:
+    """``file:line`` of the frame that opened the current request,
+    skipping the transport layer's own frames."""
     frame = sys._getframe(2)
     while frame is not None and frame.f_globals.get("__name__", "").startswith(
         _TRANSPORT_MODULES
@@ -122,47 +104,22 @@ def _send_site() -> str:
 class ProtocolReport:
     """Finalize-time findings of a :class:`ProtocolRecorder`."""
 
-    unmatched_sends: list[dict[str, Any]] = field(default_factory=list)
-    tag_collisions: list[dict[str, Any]] = field(default_factory=list)
     collective_mismatches: list[dict[str, Any]] = field(default_factory=list)
     unwaited_requests: list[dict[str, Any]] = field(default_factory=list)
-    #: happens-before races on pooled move-send buffers (thread backend
-    #: with the HB tracker armed; see repro.checkers.hb)
-    races: list[dict[str, Any]] = field(default_factory=list)
-    n_sends: int = 0
-    n_recvs: int = 0
     n_collectives: int = 0
     n_requests: int = 0
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.unmatched_sends
-            or self.tag_collisions
-            or self.collective_mismatches
-            or self.unwaited_requests
-            or self.races
-        )
+        return not (self.collective_mismatches or self.unwaited_requests)
 
     def summary(self) -> str:
         if self.ok:
             return (
-                f"protocol clean: {self.n_sends} sends matched, "
-                f"{self.n_collectives} collective calls in lockstep, "
-                f"{self.n_requests} requests waited"
+                f"protocol clean: {self.n_collectives} collective calls in "
+                f"lockstep, {self.n_requests} requests waited"
             )
         lines = ["message-protocol violations:"]
-        for u in self.unmatched_sends:
-            lines.append(
-                f"  unmatched send comm={u['comm']} {u['source']}->{u['dest']} "
-                f"tag={u['tag']} x{u['count']} (never received)"
-            )
-        for c in self.tag_collisions:
-            lines.append(
-                f"  tag collision comm={c['comm']} {c['source']}->{c['dest']} "
-                f"tag={c['tag']} ({c['in_flight']} in flight from distinct "
-                f"sites: {', '.join(c.get('sites', []))})"
-            )
         for m in self.collective_mismatches:
             lines.append(
                 f"  collective divergence comm={m['comm']}: rank {m['rank']} ran "
@@ -174,32 +131,20 @@ class ProtocolReport:
                 f"  unwaited request {r['kind']} opened at {r['site']} "
                 f"(never Wait-ed)"
             )
-        for rc in self.races:
-            lines.append(
-                f"  pooled-buffer race: move-send buffer "
-                f"{rc['src']}->{rc['dest']} from {rc['open_site']} "
-                f"released at {rc['release_site'] or 'unknown site'} — "
-                f"{rc['why']}"
-            )
         return "\n".join(lines)
 
 
 class ProtocolRecorder:
-    """Thread-safe log of the point-to-point and collective protocol.
+    """Thread-safe log of collective sequences and request lifetimes.
 
-    The thread backend shares one recorder across all ranks (full
-    collision detection); the process backend keeps one per rank and
-    merges picklable :meth:`snapshot` s at finalize — ordering across
-    processes is lost there, so only the order-free checks (matching,
-    collective lockstep) run on merged data.
+    The thread backend shares one recorder across all ranks; the
+    process and socket backends keep one per rank and merge picklable
+    :meth:`snapshot` s at finalize.  Both checks are order-free, so the
+    merged report equals the shared one.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._sent: Counter = Counter()
-        self._received: Counter = Counter()
-        self._in_flight: dict[_MsgKey, list[str]] = {}
-        self._collisions: list[dict[str, Any]] = []
         self._collectives: dict[tuple[str, int], list[str]] = {}
         #: request-lifetime tracking: token -> (kind, opening site); a
         #: token is removed when its request is waited, so whatever is
@@ -210,31 +155,6 @@ class ProtocolRecorder:
 
     # ---- recording hooks -------------------------------------------------------
 
-    def note_send(self, comm_id: str, source: int, dest: int, tag: int) -> None:
-        key: _MsgKey = (comm_id, source, dest, tag)
-        site = _send_site()
-        with self._lock:
-            self._sent[key] += 1
-            sites = self._in_flight.setdefault(key, [])
-            # several in-flight messages on one key are a legal FIFO
-            # stream when they come from the same source line; different
-            # lines mean two logical streams share a tag — a collision
-            if any(s != site for s in sites):
-                self._collisions.append({
-                    "comm": comm_id, "source": source, "dest": dest,
-                    "tag": tag, "in_flight": len(sites) + 1,
-                    "sites": sorted({*sites, site}),
-                })
-            sites.append(site)
-
-    def note_recv(self, comm_id: str, source: int, dest: int, tag: int) -> None:
-        key: _MsgKey = (comm_id, source, dest, tag)
-        with self._lock:
-            self._received[key] += 1
-            sites = self._in_flight.get(key)
-            if sites:
-                sites.pop(0)
-
     def note_collective(self, comm_id: str, rank: int, op: str) -> None:
         with self._lock:
             self._collectives.setdefault((comm_id, rank), []).append(op)
@@ -243,7 +163,7 @@ class ProtocolRecorder:
         """Record a freshly created non-blocking request; returns a token
         the request hands back through :meth:`note_request_done` when it
         is waited."""
-        site = _send_site()
+        site = _call_site()
         with self._lock:
             token = self._next_request_token
             self._next_request_token += 1
@@ -261,8 +181,6 @@ class ProtocolRecorder:
         """Picklable dump of this recorder (one rank's view)."""
         with self._lock:
             return {
-                "sent": list(self._sent.items()),
-                "received": list(self._received.items()),
                 "collectives": [
                     (comm, rank, list(ops))
                     for (comm, rank), ops in self._collectives.items()
@@ -277,17 +195,13 @@ class ProtocolRecorder:
     def merged(cls, snapshots: list[dict[str, Any]]) -> ProtocolRecorder:
         rec = cls()
         for snap in snapshots:
-            for key, n in snap["sent"]:
-                rec._sent[tuple(key)] += n
-            for key, n in snap["received"]:
-                rec._received[tuple(key)] += n
             for comm, rank, ops in snap["collectives"]:
                 rec._collectives.setdefault((comm, rank), []).extend(ops)
-            for kind, site in snap.get("open_requests", ()):
+            for kind, site in snap["open_requests"]:
                 token = rec._next_request_token
                 rec._next_request_token += 1
                 rec._open_requests[token] = (kind, site)
-            rec._n_requests += snap.get("n_requests", 0)
+            rec._n_requests += snap["n_requests"]
         return rec
 
     # ---- finalize --------------------------------------------------------------
@@ -295,9 +209,6 @@ class ProtocolRecorder:
     def report(self) -> ProtocolReport:
         with self._lock:
             rep = ProtocolReport(
-                tag_collisions=list(self._collisions),
-                n_sends=sum(self._sent.values()),
-                n_recvs=sum(self._received.values()),
                 n_collectives=sum(len(v) for v in self._collectives.values()),
                 n_requests=self._n_requests,
                 unwaited_requests=[
@@ -305,14 +216,6 @@ class ProtocolRecorder:
                     for _token, (kind, site) in sorted(self._open_requests.items())
                 ],
             )
-            for key in sorted(self._sent):
-                missing = self._sent[key] - self._received[key]
-                if missing > 0:
-                    comm, source, dest, tag = key
-                    rep.unmatched_sends.append({
-                        "comm": comm, "source": source, "dest": dest,
-                        "tag": tag, "count": missing,
-                    })
             by_comm: dict[str, dict[int, list[str]]] = {}
             for (comm, rank), ops in self._collectives.items():
                 by_comm.setdefault(comm, {})[rank] = ops
@@ -339,6 +242,6 @@ def set_last_protocol_report(report: ProtocolReport) -> None:
 
 
 def last_protocol_report() -> ProtocolReport | None:
-    """The report from the most recent sanitized ``SimMPI.run`` finalize."""
+    """The report from the most recent sanitized world's finalize."""
     with _last_report_lock:
         return _last_report

@@ -423,41 +423,6 @@ def _cmd_verify_bitwise(args) -> None:
     print("verify-bitwise: all compared configurations bitwise-identical")
 
 
-def _cmd_analyze_deadlock(args) -> None:
-    """Model-check the dynamo step protocol for one layout; exit 1 on a
-    blocked-cycle witness (or an undecided state-cap bailout)."""
-    from repro.checkers.schedule import check_deadlock_free, dynamo_step_programs
-
-    pth, pph = _ranks_to_layout(args.ranks)
-    semantics = (
-        ["buffered", "rendezvous"] if args.semantics == "both"
-        else [args.semantics]
-    )
-    print(f"layout: 2 panels x {pth} x {pph} = {args.ranks} ranks, "
-          f"grid nth={args.nth} nph={args.nph} nr={args.nr}")
-    programs = dynamo_step_programs(args.nth, args.nph, pth, pph, nr=args.nr)
-    n_ops = sum(len(p) for p in programs)
-    print(f"lifted {n_ops} comm events across {len(programs)} rank programs")
-    failed = False
-    for sem in semantics:
-        verdict = check_deadlock_free(
-            programs, semantics=sem, max_states=args.max_states,
-        )
-        if verdict.witness is not None:
-            failed = True
-            print(f"{sem}: DEADLOCK ({verdict.explored} states explored)")
-            print(verdict.witness.describe())
-        elif verdict.exhausted:
-            failed = True
-            print(f"{sem}: UNDECIDED — state cap {args.max_states} hit "
-                  f"({verdict.explored} states explored); raise --max-states")
-        else:
-            print(f"{sem}: deadlock-free "
-                  f"({verdict.explored} states explored)")
-    if failed:
-        raise SystemExit(1)
-
-
 def _cmd_run(args) -> None:
     from repro import YinYangDynamo
     from repro.core.checkpoint import CheckpointError
@@ -555,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coordinator address announced by the launcher")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-wait deadlock timeout "
-                        "(default: REPRO_SIMMPI_TIMEOUT or 60)")
+                        "(default: REPRO_SIMMPI_TIMEOUT or 120)")
     p.set_defaults(fn=_cmd_worker)
 
     sub.add_parser(
@@ -614,8 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nth", type=int, default=10)
     p.add_argument("--nph", type=int, default=30)
     p.add_argument("--steps", type=int, default=3)
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="per-run deadlock-guard timeout (seconds)")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-run deadlock-guard timeout (seconds; "
+                        "default: REPRO_SIMMPI_TIMEOUT or 120)")
     p.add_argument("--cases", default=None,
                    metavar="fused,c,thread,...",
                    help="comma-separated case subset (default: all of "
@@ -626,30 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "compiled C kernel backend")
     p.set_defaults(fn=_cmd_verify_bitwise)
 
-    p = sub.add_parser(
-        "analyze",
-        help="static concurrency analyses over the solver's own "
-             "communication plans",
-    )
-    asub = p.add_subparsers(dest="analysis", required=True)
-    p = asub.add_parser(
-        "deadlock",
-        help="model-check the dynamo step protocol for a given layout: "
-             "exhaustively explore message matchings and either prove "
-             "deadlock-freedom or print the minimal blocked-cycle witness",
-    )
-    p.add_argument("--ranks", type=int, default=4, metavar="N",
-                   help="total ranks (even; 2 panels x near-square array)")
-    p.add_argument("--nth", type=int, default=14)
-    p.add_argument("--nph", type=int, default=42)
-    p.add_argument("--nr", type=int, default=5)
-    p.add_argument("--semantics", choices=["buffered", "rendezvous", "both"],
-                   default="both",
-                   help="send semantics to check under (rendezvous is the "
-                        "stricter, MPI-standard-safe model)")
-    p.add_argument("--max-states", type=int, default=200_000,
-                   help="state-exploration cap before giving up undecided")
-    p.set_defaults(fn=_cmd_analyze_deadlock)
     return parser
 
 

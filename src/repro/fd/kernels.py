@@ -40,10 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers.contracts import contract
-from repro.checkers.hb import note_buffer_release
 from repro.checkers.sanitize import DoubleRelease, poison_buffer, sanitize_enabled
-from repro.checkers.shapes import Float64
 from repro.fd import stencils
 
 Array = np.ndarray
@@ -90,10 +87,6 @@ class BufferPool:
                     f"twice (id={id(arr):#x})"
                 )
             self._free_ids.add(id(arr))
-            # the happens-before tracker vetoes racy reuse of buffers
-            # whose move-send is still in flight (the poison below would
-            # corrupt the receiver)
-            note_buffer_release(arr)
             poison_buffer(arr)
         self._free.setdefault((arr.shape, arr.dtype), []).append(arr)
 
@@ -127,26 +120,21 @@ class DerivativeCache:
     #: order codes: 1/2 = normalised diff/diff2, 3/4 = raw numerators
     _RAW1, _RAW2 = 3, 4
 
-    @contract
-    def diff(self, f: Float64[...], h: float, axis: int) -> Float64[...]:
+    def diff(self, f: Array, h: float, axis: int) -> Array:
         return self._get(f, h, axis, 1)
 
-    @contract
-    def diff2(self, f: Float64[...], h: float, axis: int) -> Float64[...]:
+    def diff2(self, f: Array, h: float, axis: int) -> Array:
         return self._get(f, h, axis, 2)
 
-    @contract
-    def diff_raw(self, f: Float64[...], axis: int) -> Float64[...]:
+    def diff_raw(self, f: Array, axis: int) -> Array:
         """Memoized :func:`repro.fd.stencils.diff_raw` (spacing-free)."""
         return self._get(f, None, axis, self._RAW1)
 
-    @contract
-    def diff2_raw(self, f: Float64[...], axis: int) -> Float64[...]:
+    def diff2_raw(self, f: Array, axis: int) -> Array:
         """Memoized :func:`repro.fd.stencils.diff2_raw` (spacing-free)."""
         return self._get(f, None, axis, self._RAW2)
 
-    def _get(self, f: Float64[...], h: float | None, axis: int,
-             order: int) -> Float64[...]:
+    def _get(self, f: Array, h: float | None, axis: int, order: int) -> Array:
         key = (id(f), axis, order)
         entry = self._entries.get(key)
         if entry is not None and entry[0] is f:

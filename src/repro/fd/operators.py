@@ -27,15 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers.contracts import contract
-from repro.checkers.shapes import Float64
 from repro.fd.stencils import AXIS_PH, AXIS_R, AXIS_TH, diff, diff2
 from repro.grids.base import SphericalPatch
 
 Array = np.ndarray
 Vec = tuple[Array, Array, Array]
-#: Contract-checked vector field: three float64 arrays of one shape.
-Vec64 = tuple[Float64[...], Float64[...], Float64[...]]
 
 
 class SphericalOperators:
@@ -51,20 +47,19 @@ class SphericalOperators:
 
     # ---- primitive derivatives (cache-aware) ------------------------------
 
-    def _diff(self, f: Float64[...], h: float, axis: int) -> Float64[...]:
+    def _diff(self, f: Array, h: float, axis: int) -> Array:
         if self.cache is not None:
             return self.cache.diff(f, h, axis)
         return diff(f, h, axis)
 
-    def _diff2(self, f: Float64[...], h: float, axis: int) -> Float64[...]:
+    def _diff2(self, f: Array, h: float, axis: int) -> Array:
         if self.cache is not None:
             return self.cache.diff2(f, h, axis)
         return diff2(f, h, axis)
 
     # ---- scalar operators -------------------------------------------------
 
-    @contract
-    def grad(self, s: Float64[...]) -> Vec64:
+    def grad(self, s: Array) -> Vec:
         """Gradient of a scalar: ``(d_r s, d_th s / r, d_ph s / (r sin))``.
 
         With a cache attached the radial component *is* the memoized
@@ -77,8 +72,7 @@ class SphericalOperators:
             m.inv_r_sin * self._diff(s, self.dph, AXIS_PH),
         )
 
-    @contract
-    def laplacian(self, s: Float64[...]) -> Float64[...]:
+    def laplacian(self, s: Array) -> Array:
         """Scalar Laplacian in metric form::
 
             (1/r^2) d_r(r^2 d_r s) + (1/(r^2 sin)) d_th(sin d_th s)
@@ -97,8 +91,7 @@ class SphericalOperators:
             + m.inv_r2_sin2 * self._diff2(s, self.dph, AXIS_PH)
         )
 
-    @contract
-    def advect_scalar(self, v: Vec64, s: Float64[...]) -> Float64[...]:
+    def advect_scalar(self, v: Vec, s: Array) -> Array:
         """Directional derivative ``(v . grad) s``."""
         m = self.m
         return (
@@ -109,8 +102,7 @@ class SphericalOperators:
 
     # ---- vector operators ---------------------------------------------------
 
-    @contract
-    def div(self, v: Vec64) -> Float64[...]:
+    def div(self, v: Vec) -> Array:
         """Divergence::
 
             (1/r^2) d_r(r^2 v_r) + (1/(r sin)) d_th(sin v_th)
@@ -129,8 +121,7 @@ class SphericalOperators:
             + m.inv_r_sin * self._diff(vph, self.dph, AXIS_PH)
         )
 
-    @contract
-    def curl(self, v: Vec64) -> Vec64:
+    def curl(self, v: Vec) -> Vec:
         """Curl of a vector field in spherical components."""
         m = self.m
         vr, vth, vph = v
@@ -153,8 +144,7 @@ class SphericalOperators:
         """``curl(curl(v))`` — the other building block."""
         return self.curl(self.curl(v))
 
-    @contract
-    def vector_laplacian(self, v: Vec64) -> Vec64:
+    def vector_laplacian(self, v: Vec) -> Vec:
         """``lap(v) = grad(div v) - curl(curl v)`` (identity form)."""
         gd = self.grad_div(v)
         cc = self.curl_curl(v)

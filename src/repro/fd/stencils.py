@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers.contracts import contract
 from repro.checkers.hotpath import hot_path
-from repro.checkers.shapes import Float64
 
 Array = np.ndarray
 
@@ -57,7 +55,7 @@ def _axslice(ndim: int, axis: int, sl: slice) -> tuple:
     return tuple(out)
 
 
-def _resolve_out(f: Float64[...], out: Float64[...] | None) -> Float64[...]:
+def _resolve_out(f: Array, out: Array | None) -> Array:
     """Validate a caller-supplied output buffer (or allocate a fresh one).
 
     ``out`` must not alias ``f``: the edge-plane stencils read points
@@ -73,10 +71,9 @@ def _resolve_out(f: Float64[...], out: Float64[...] | None) -> Float64[...]:
     return out
 
 
-@contract
 @hot_path
-def diff(f: Float64[...], h: float, axis: int,
-         out: Float64[...] | None = None) -> Float64[...]:
+def diff(f: Array, h: float, axis: int,
+         out: Array | None = None) -> Array:
     """First derivative along ``axis`` with uniform spacing ``h``.
 
     Central second order in the interior; one-sided second order
@@ -111,10 +108,9 @@ def diff(f: Float64[...], h: float, axis: int,
     return out
 
 
-@contract
 @hot_path
-def diff2(f: Float64[...], h: float, axis: int,
-          out: Float64[...] | None = None) -> Float64[...]:
+def diff2(f: Array, h: float, axis: int,
+          out: Array | None = None) -> Array:
     """Second derivative along ``axis`` with uniform spacing ``h``.
 
     Central second order in the interior; at the edge planes the
@@ -167,10 +163,9 @@ def _flat_last_axis(f: Array, out: Array, axis: int) -> bool:
     )
 
 
-@contract
 @hot_path
-def diff_raw(f: Float64[...], axis: int,
-             out: Float64[...] | None = None) -> Float64[...]:
+def diff_raw(f: Array, axis: int,
+             out: Array | None = None) -> Array:
     """Spacing-free first-difference numerator: ``2 h * diff(f, h, axis)``.
 
     Same stencils as :func:`diff` with the ``1/(2h)`` normalisation left
@@ -212,10 +207,9 @@ def diff_raw(f: Float64[...], axis: int,
     return out
 
 
-@contract
 @hot_path
-def diff2_raw(f: Float64[...], axis: int,
-              out: Float64[...] | None = None) -> Float64[...]:
+def diff2_raw(f: Array, axis: int,
+              out: Array | None = None) -> Array:
     """Spacing-free second-difference numerator: ``h^2 * diff2(f, h, axis)``.
 
     Interior ``f[i+1] - 2 f[i] + f[i-1]``; edge planes use the one-sided

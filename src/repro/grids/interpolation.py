@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.checkers.contracts import contract
-from repro.checkers.shapes import Float64
 from repro.coords.rotations import sph_component_rotation
 from repro.coords.transforms import other_panel_angles
 from repro.grids.component import ComponentGrid
@@ -52,8 +50,8 @@ class BilinearStencil:
 
     ith: Array
     iph: Array
-    wth: Float64["n_pts"]
-    wph: Float64["n_pts"]
+    wth: Array
+    wph: Array
 
     @property
     def n(self) -> int:
@@ -69,8 +67,7 @@ class BilinearStencil:
             (self.ith + 1, self.iph + 1, a * b),
         )
 
-    @contract
-    def apply(self, field: Float64[...]) -> Float64[..., "n_pts"]:
+    def apply(self, field: Array) -> Array:
         """Gather-interpolate ``field`` (..., nth, nph) at the receptor
         points; returns shape ``field.shape[:-2] + (n,)``."""
         out = None
@@ -162,30 +159,22 @@ class OversetInterpolator:
 
     # ---- scalar -------------------------------------------------------------
 
-    @contract
-    def interp_scalar(
-        self, donor_field: Float64[..., "dth", "dph"]
-    ) -> Float64[..., "n_ring"]:
+    def interp_scalar(self, donor_field: Array) -> Array:
         """Interpolate a scalar donor field; returns ``(nr, n_ring)``."""
         return self.stencil.apply(donor_field)
 
-    @contract
-    def fill_scalar(self, donor_field: Float64[..., "dth", "dph"],
-                    receptor_field: Float64[..., "rth", "rph"]) -> None:
+    def fill_scalar(self, donor_field: Array, receptor_field: Array) -> None:
         """Overwrite the receptor's ring values in place."""
         receptor_field[:, self.ring_ith, self.ring_iph] = self.interp_scalar(donor_field)
 
     # ---- vector -------------------------------------------------------------
 
-    @contract
     def interp_vector(
         self,
-        dvr: Float64[..., "dth", "dph"],
-        dvth: Float64[..., "dth", "dph"],
-        dvph: Float64[..., "dth", "dph"],
-    ) -> tuple[Float64[..., "n_ring"],
-               Float64[..., "n_ring"],
-               Float64[..., "n_ring"]]:
+        dvr: Array,
+        dvth: Array,
+        dvph: Array,
+    ) -> tuple[Array, Array, Array]:
         """Interpolate donor spherical components and rotate them into the
         receptor basis; returns three ``(nr, n_ring)`` arrays."""
         vr = self.stencil.apply(dvr)
@@ -197,15 +186,10 @@ class OversetInterpolator:
         wph = R[:, 2, 0] * vr + R[:, 2, 1] * vth + R[:, 2, 2] * vph
         return wr, wth, wph
 
-    @contract
     def fill_vector(
         self,
-        donor_components: tuple[Float64[..., "dth", "dph"],
-                                Float64[..., "dth", "dph"],
-                                Float64[..., "dth", "dph"]],
-        receptor_components: tuple[Float64[..., "rth", "rph"],
-                                   Float64[..., "rth", "rph"],
-                                   Float64[..., "rth", "rph"]],
+        donor_components: tuple[Array, Array, Array],
+        receptor_components: tuple[Array, Array, Array],
     ) -> None:
         """Overwrite the receptor's ring values of a vector field in place."""
         wr, wth, wph = self.interp_vector(*donor_components)

@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkers.contracts import contract
 from repro.checkers.hotpath import hot_path
-from repro.checkers.shapes import Float64
 from repro.coords.spherical import cart_vector_to_sph
 from repro.fd import backend as kernel_backend
 from repro.fd.kernels import BufferPool, DerivativeCache, StencilCoefficients
@@ -47,16 +45,11 @@ from repro.mhd.state import MHDState
 
 Array = np.ndarray
 Vec = tuple[Array, Array, Array]
-#: Contract-checked vector field: three congruent float64 arrays.
-Vec64 = tuple[Float64[...], Float64[...], Float64[...]]
 
 
-@contract
 def rotation_vector_field(
     patch: SphericalPatch, omega_cart: tuple[float, float, float]
-) -> tuple[Float64[1, "nth", "nph"],
-           Float64[1, "nth", "nph"],
-           Float64[1, "nth", "nph"]]:
+) -> Vec:
     """Local spherical components of a constant Cartesian vector.
 
     A constant vector (the rotation axis) has position-dependent
@@ -146,13 +139,11 @@ class PanelEquations:
 
     # ---- subsidiary fields -----------------------------------------------------
 
-    @contract
-    def magnetic_field(self, state: MHDState) -> Vec64:
+    def magnetic_field(self, state: MHDState) -> Vec:
         """``B = curl A``."""
         return self.ops.curl(state.a)
 
-    @contract
-    def current_density(self, b: Vec64) -> Vec64:
+    def current_density(self, b: Vec) -> Vec:
         """``j = curl B``."""
         return self.ops.curl(b)
 
@@ -162,8 +153,7 @@ class PanelEquations:
         b = self.magnetic_field(state)
         return b, self.current_density(b)
 
-    @contract
-    def electric_field(self, v: Vec64, b: Vec64, j: Vec64) -> Vec64:
+    def electric_field(self, v: Vec, b: Vec, j: Vec) -> Vec:
         """``E = -v x B + eta j``."""
         vxb = self.ops.cross(v, b)
         eta = self.params.eta

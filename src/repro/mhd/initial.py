@@ -27,12 +27,11 @@ from repro.grids.base import SphericalPatch
 from repro.mhd.parameters import MHDParameters
 from repro.mhd.state import MHDState
 
-from repro.checkers.shapes import Float64
 
 Array = np.ndarray
 
 
-def conduction_temperature(r: Array, params: MHDParameters) -> Float64[...]:
+def conduction_temperature(r: Array, params: MHDParameters) -> Array:
     """Steady conduction profile ``T(r) = a + b/r`` through the shell."""
     ri, ro, ti = params.ri, params.ro, params.t_inner
     b = (ti - 1.0) * ri * ro / (ro - ri)
@@ -42,7 +41,7 @@ def conduction_temperature(r: Array, params: MHDParameters) -> Float64[...]:
 
 def hydrostatic_profiles(
     r: Array, params: MHDParameters
-) -> tuple[Float64[...], Float64[...], Float64[...]]:
+) -> tuple[Array, Array, Array]:
     """``(T, p, rho)`` of the hydrostatic conduction state at radii ``r``."""
     r = np.asarray(r, dtype=np.float64)
     ri, ro, ti = params.ri, params.ro, params.t_inner

@@ -14,9 +14,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.checkers.contracts import ContractViolation, contracts_enabled
 from repro.checkers.hotpath import hot_path
-from repro.checkers.shapes import Float64
 
 Array = np.ndarray
 Vec = tuple[Array, Array, Array]
@@ -24,28 +22,23 @@ Vec = tuple[Array, Array, Array]
 #: Canonical ordering of the eight prognostic fields.
 FIELD_NAMES = ("rho", "fr", "fth", "fph", "p", "ar", "ath", "aph")
 
-#: Read once at import, like the :func:`contract` decorator itself.
-_STRICT = contracts_enabled()
-
 
 @dataclass
 class MHDState:
     """Eight prognostic arrays on a single patch, all the same shape.
 
-    The field annotations are the shape contract: per-panel
-    ``(nr, nth, nph)`` float64 arrays.  The shape part is always
-    enforced at construction; under ``REPRO_CONTRACTS=1`` the dtype is
-    too (a float32 field would silently downcast every RHS product).
+    Per-panel ``(nr, nth, nph)`` float64 arrays; the common shape is
+    enforced at construction.
     """
 
-    rho: Float64["nr", "nth", "nph"]
-    fr: Float64["nr", "nth", "nph"]
-    fth: Float64["nr", "nth", "nph"]
-    fph: Float64["nr", "nth", "nph"]
-    p: Float64["nr", "nth", "nph"]
-    ar: Float64["nr", "nth", "nph"]
-    ath: Float64["nr", "nth", "nph"]
-    aph: Float64["nr", "nth", "nph"]
+    rho: Array
+    fr: Array
+    fth: Array
+    fph: Array
+    p: Array
+    ar: Array
+    ath: Array
+    aph: Array
 
     def __post_init__(self):
         shape = self.rho.shape
@@ -54,11 +47,6 @@ class MHDState:
             if arr.shape != shape:
                 raise ValueError(
                     f"field {name} has shape {arr.shape}, expected {shape}"
-                )
-            if _STRICT and arr.dtype != np.float64:
-                raise ContractViolation(
-                    f"prognostic field {name} has dtype {arr.dtype}; the "
-                    f"Float64['nr', 'nth', 'nph'] contract requires float64"
                 )
 
     # ---- construction ---------------------------------------------------------

@@ -19,9 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.checkers.contracts import contract
 from repro.checkers.hotpath import hot_path
-from repro.checkers.shapes import Float64
 from repro.parallel.frames import validate_payload
 from repro.parallel.cart import PROC_NULL, CartComm
 from repro.parallel.decomposition import HALO, Subdomain
@@ -92,7 +90,7 @@ class HaloExchanger:
         ]
 
     @hot_path
-    def _exchange_phase(self, fields: Sequence[Float64["nr", "lth", "lph"]],
+    def _exchange_phase(self, fields: Sequence[Array],
                         directions, tag_base: int) -> None:
         """Post one receive per present neighbour in ``directions``,
         pack+send the outgoing strips, then wait/validate/unpack."""
@@ -131,8 +129,7 @@ class HaloExchanger:
             for k, f in enumerate(fields):
                 f[sl] = payload[k]
 
-    @contract
-    def exchange(self, fields: Sequence[Float64["nr", "lth", "lph"]],
+    def exchange(self, fields: Sequence[Array],
                  tag_base: int = 0) -> None:
         """Exchange halos of several fields, in place.
 
@@ -143,39 +140,6 @@ class HaloExchanger:
         """
         self._exchange_phase(fields, ("west", "east"), tag_base)
         self._exchange_phase(fields, ("north", "south"), tag_base + 4)
-
-    @staticmethod
-    def protocol_ops(dims: tuple[int, int], rank: int,
-                     tag_base: int = 0) -> list[dict]:
-        """Wire protocol of one :meth:`exchange` for ``rank`` on a
-        ``dims`` cartesian grid, without building a communicator.
-
-        Returns the two phases in execution order, each as
-        ``{"recvs": [(nbr, tag)], "sends": [(nbr, tag)]}`` with
-        panel-local neighbour ranks — the receive posts come first in a
-        phase, the sends after, exactly like ``_exchange_phase``.  Used by
-        :func:`repro.checkers.schedule.dynamo_step_programs` to
-        model-check the shipped schedule; the rank arithmetic mirrors
-        :class:`~repro.parallel.cart.CartComm` (row-major, non-periodic).
-        """
-        ni, nj = dims
-        i, j = divmod(rank, nj)
-        nbr = {
-            "north": (i - 1) * nj + j if i > 0 else PROC_NULL,
-            "south": (i + 1) * nj + j if i < ni - 1 else PROC_NULL,
-            "west": i * nj + (j - 1) if j > 0 else PROC_NULL,
-            "east": i * nj + (j + 1) if j < nj - 1 else PROC_NULL,
-        }
-        phases = []
-        for directions, base in ((("west", "east"), tag_base),
-                                 (("north", "south"), tag_base + 4)):
-            present = [d for d in directions if nbr[d] != PROC_NULL]
-            phases.append({
-                "recvs": [(nbr[d], base + _DIR_TAGS[d]) for d in present],
-                "sends": [(nbr[d], base + _DIR_TAGS[HaloExchanger._opposite(d)])
-                          for d in present],
-            })
-        return phases
 
     def bytes_per_exchange(self, nr: int, nfields: int, itemsize: int = 8) -> int:
         """Communication volume of one :meth:`exchange` call (sent bytes).

@@ -22,9 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.checkers.contracts import contract
 from repro.checkers.hotpath import hot_path
-from repro.checkers.shapes import Float64
 from repro.parallel.frames import validate_payload
 from repro.grids.interpolation import OversetInterpolator
 from repro.grids.yinyang import YinYangGrid
@@ -45,8 +43,8 @@ class _ReceptorSide:
     n_loc: int
     ring_lith: Array  # local theta indices of my ring points
     ring_liph: Array
-    weights: Float64[4, "n_loc"]  # bilinear corner weights
-    rotation: Float64["n_loc", 3, 3]  # donor->receptor component rotation
+    weights: Array  # (4, n_loc) bilinear corner weights
+    rotation: Array  # (n_loc, 3, 3) donor->receptor component rotation
     #: donor panel-rank -> (corner slot array, local point array) in the
     #: deterministic message order
     sources: dict[int, tuple[Array, Array]] = field(default_factory=dict)
@@ -222,27 +220,6 @@ class OversetExchanger:
         for k in range(nf):
             fields[k][:, i, j] = vals[k]
 
-    def protocol_ops(self, tag0: int = 0) -> dict:
-        """Wire protocol of one :meth:`exchange_state` for this
-        rank, as ``{"recvs": [(src_world, tag)], "sends": [(dest_world,
-        tag)]}`` in posting order.
-
-        Derived from the same plan objects ``_packed_begin`` iterates —
-        no communicator needed (the exchanger may be built with
-        ``world=None``), so the schedule model checker
-        (:func:`repro.checkers.schedule.dynamo_step_programs`) checks
-        the protocol that actually ships.
-        """
-        donor, receptor = self._post_plan()
-        recv_tag = _TAG_BASE + tag0 + 4 * self.panel_index
-        send_tag = _TAG_BASE + tag0 + 4 * (1 - self.panel_index)
-        return {
-            "recvs": [(self._world_rank(1 - self.panel_index, d), recv_tag)
-                      for d in receptor.sources],
-            "sends": [(self._world_rank(1 - self.panel_index, r), send_tag)
-                      for r in donor.targets],
-        }
-
     @hot_path
     def _packed_begin(self, fields: Sequence[Array], tag0: int) -> list[tuple]:
         """Post all receives and pack+post all sends; returns the posted
@@ -296,8 +273,7 @@ class OversetExchanger:
 
         self._combine(receptor, corner_vals, rotate_groups, fields)
 
-    @contract
-    def _exchange_packed(self, fields: Sequence[Float64["nr", "lth", "lph"]],
+    def _exchange_packed(self, fields: Sequence[Array],
                          rotate_groups, tag0: int) -> None:
         """One ``(nfields, nr, m)`` message per donor->receptor pair.
 

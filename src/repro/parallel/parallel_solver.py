@@ -46,7 +46,7 @@ from repro.parallel.decomposition import PanelDecomposition
 from repro.parallel.backends import get_backend, select
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.overset_comm import OversetExchanger
-from repro.parallel.simmpi import Communicator, SimMPIError
+from repro.parallel.simmpi import Communicator
 
 Array = np.ndarray
 
@@ -526,12 +526,11 @@ def run_parallel_dynamo(
     pph: int,
     n_steps: int,
     *,
-    timeout: float = 300.0,
+    timeout: float | None = None,
     backend: str | None = "thread",
     restart=None,
     checkpoint_dir=None,
     checkpoint_every: int | None = None,
-    verify_schedule: bool = False,
     fingerprint_every: int | None = None,
 ) -> ParallelRunResult:
     """Launch a world of ``2 * pth * pph`` ranks on the chosen launcher
@@ -546,28 +545,11 @@ def run_parallel_dynamo(
     at a different rank count; ``checkpoint_every``/``checkpoint_dir``
     save per-rank archives during the run.
 
-    ``verify_schedule=True`` model-checks the step's communication
-    protocol for this exact layout *before* launching any rank —
-    :func:`repro.checkers.schedule.check_deadlock_free` over the lifted
-    per-rank event programs — and raises :class:`SimMPIError` with the
-    blocked-cycle witness instead of hanging into the timeout guard.
+    ``timeout=None`` leaves the deadlock guard to the launcher's
+    :func:`~repro.parallel.simmpi.resolve_timeout`:
+    ``REPRO_SIMMPI_TIMEOUT`` when set, else ``DEFAULT_TIMEOUT``.
     """
     resolved = select(backend)
-    if verify_schedule:
-        from repro.checkers.schedule import (
-            check_deadlock_free,
-            dynamo_step_programs,
-        )
-
-        programs = dynamo_step_programs(
-            config.nth, config.nph, pth, pph, nr=config.nr,
-        )
-        verdict = check_deadlock_free(programs, semantics="rendezvous")
-        if verdict.witness is not None:
-            raise SimMPIError(
-                f"schedule model checker: the step protocol for layout "
-                f"{pth}x{pph} can deadlock:\n" + verdict.witness.describe()
-            )
     launcher = get_backend(resolved)
     results = launcher.run(
         2 * pth * pph, _parallel_program, config, pth, pph, n_steps,

@@ -45,9 +45,10 @@ Semantics notes
 Environment
 -----------
 ``REPRO_SIMMPI_TIMEOUT`` overrides :data:`DEFAULT_TIMEOUT` (seconds),
-the wall-clock guard on blocking receives and collectives.  Raise it on
-slow or heavily shared CI machines where the default could misreport a
-busy world as a :class:`DeadlockTimeout`.
+the wall-clock guard on blocking receives and collectives, wherever no
+explicit ``timeout=`` is given.  Raise it on slow or heavily shared CI
+machines where the default could misreport a busy world as a
+:class:`DeadlockTimeout`.
 """
 
 from __future__ import annotations
@@ -60,17 +61,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.checkers.hb import HBTracker, PendingOp, WaitForGraph
-from repro.checkers.hb import activate_tracker, deactivate_tracker
+from repro.checkers.hb import PendingOp, WaitForGraph
 from repro.checkers.sanitize import (
     ProtocolRecorder,
     ProtocolViolation,
-    _send_site,
-    freeze_payload,
     sanitize_enabled,
     set_last_protocol_report,
 )
-from repro.parallel.fuzz import ScheduleFuzzer
 
 ANY_SOURCE = -2
 ANY_TAG = -1
@@ -106,20 +103,22 @@ def _timeout_from_env(default: float = 120.0) -> float:
     return value if value > 0 else default
 
 
-#: Default wall-clock guard for blocking operations; a deadlocked test
-#: fails fast instead of hanging the suite.  Overridable through the
-#: ``REPRO_SIMMPI_TIMEOUT`` environment variable (read at import).
-DEFAULT_TIMEOUT = _timeout_from_env()
+#: Wall-clock guard for blocking operations when neither ``timeout=``
+#: nor ``REPRO_SIMMPI_TIMEOUT`` sets one; a deadlocked test fails fast
+#: instead of hanging the suite.
+DEFAULT_TIMEOUT = 120.0
 
 
 def resolve_timeout(timeout: float | None = None) -> float:
-    """The single ``timeout=None -> DEFAULT_TIMEOUT`` resolution point.
+    """The single timeout resolution point: an explicit ``timeout``,
+    else ``REPRO_SIMMPI_TIMEOUT`` (read at call time), else
+    :data:`DEFAULT_TIMEOUT`.
 
     Every launcher (thread, process, socket — including the socket
     worker side) funnels through here instead of repeating the dance,
     so the env-var default stays consistent across backends.
     """
-    return DEFAULT_TIMEOUT if timeout is None else timeout
+    return _timeout_from_env(DEFAULT_TIMEOUT) if timeout is None else timeout
 
 
 class SimMPIError(RuntimeError):
@@ -157,45 +156,19 @@ class _Message:
     source: int
     tag: int
     payload: Any
-    #: sender's vector clock at send time (sanitize runs only)
-    clock: tuple | None = None
 
 
 class _MailBox:
-    """Per-(comm, receiver-rank) queue with (source, tag) matching.
+    """Per-(comm, receiver-rank) queue with (source, tag) matching."""
 
-    With a :class:`~repro.parallel.fuzz.ScheduleFuzzer` attached,
-    deliveries are jittered and may be *held back* until the next
-    ``get`` — reordering visibility across (source, tag) streams while
-    preserving MPI's per-stream FIFO (a held message blocks later
-    same-stream deliveries from overtaking it, and every ``get`` flushes
-    the held set first, so no artificial deadlock is introduced).
-    """
-
-    def __init__(self, fuzz: ScheduleFuzzer | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._messages: list[_Message] = []
-        self._held: list[_Message] = []
-        self._fuzz = fuzz
 
     def put(self, msg: _Message) -> None:
-        fuzz = self._fuzz
-        if fuzz is not None:
-            fuzz.sleep_jitter()
         with self._cond:
-            # a stream with a held message must queue behind it (the
-            # get-time flush appends held messages last, so letting a
-            # same-stream follower into the visible list would reorder
-            # the stream); only otherwise is holding a free choice
-            same_stream_held = any(
-                h.source == msg.source and h.tag == msg.tag
-                for h in self._held
-            )
-            if fuzz is not None and (same_stream_held or fuzz.hold()):
-                self._held.append(msg)
-            else:
-                self._messages.append(msg)
+            self._messages.append(msg)
             self._cond.notify_all()
 
     def get(self, source: int, tag: int, timeout: float) -> _Message:
@@ -209,9 +182,6 @@ class _MailBox:
 
         with self._cond:
             while True:
-                if self._held:
-                    self._messages.extend(self._held)
-                    self._held.clear()
                 idx = match()
                 if idx is not None:
                     return self._messages.pop(idx)
@@ -234,25 +204,18 @@ class _World:
         self._coll_slots: dict[tuple[str, int], dict[int, Any]] = {}
         self._coll_done: dict[tuple[str, int], dict[int, Any]] = {}
         self.failures: list[BaseException] = []
-        #: shared across ranks (threads), so the protocol recorder sees
-        #: the global message flow — full collision detection
+        #: shared across ranks (threads), so one report covers the world
         self.recorder: ProtocolRecorder | None = (
             ProtocolRecorder() if sanitize_enabled() else None
         )
         #: wait-for graph: always on (two dict writes per blocking op)
         self.wfg = WaitForGraph(nprocs)
-        #: happens-before tracker: armed with the sanitizer
-        self.hb: HBTracker | None = (
-            HBTracker(nprocs) if self.recorder is not None else None
-        )
-        #: schedule-perturbation fuzzer (REPRO_SCHED_FUZZ)
-        self.fuzz = ScheduleFuzzer.from_env()
 
     def mailbox(self, chan: str, world_rank: int) -> _MailBox:
         key = (chan, world_rank)
         with self._boxes_lock:
             if key not in self._boxes:
-                self._boxes[key] = _MailBox(self.fuzz)
+                self._boxes[key] = _MailBox()
             return self._boxes[key]
 
     def deadlock_error(self, base: str) -> DeadlockError:
@@ -277,9 +240,6 @@ class _World:
         deposited for the same sequence number; returns all payloads."""
         key = (comm.id, seq)
         size = comm.size
-        hb = self.hb
-        if hb is not None:
-            payload = (hb.send_event(comm.world_rank), payload)
         self.wfg.enter(PendingOp(
             rank=comm.world_rank, kind="collective", comm=comm.id, seq=seq,
             members=tuple(comm.members),
@@ -307,11 +267,6 @@ class _World:
                     del self._coll_slots[("readers",) + key]  # type: ignore[arg-type]
         finally:
             self.wfg.exit(comm.world_rank)
-        if hb is not None:
-            # the rendezvous orders every member after every deposit
-            hb.collective_event(comm.world_rank,
-                                [v[0] for v in result.values()])
-            result = {r: v[1] for r, v in result.items()}
         return result
 
 
@@ -376,7 +331,7 @@ class Communicator:
         diagnosis;
     ``exchange`` / ``gather`` / ``bcast`` ``(comm, seq, ...)``
         the collective rendezvous;
-    ``isolate(data)`` / ``hb_clock()`` / ``recorder``.
+    ``isolate(data)`` / ``recorder``.
 
     The thread runtime is :class:`_ThreadRuntime` below; the process
     and socket runtimes share :class:`repro.parallel.transport.
@@ -409,13 +364,6 @@ class Communicator:
         if self._recorder is not None:
             self._recorder.note_collective(self.id, self.rank, op)
 
-    def hb_clock(self) -> tuple | None:
-        """This rank's current vector clock, when happens-before tracking
-        is armed (thread backend under ``REPRO_SANITIZE=1``); ``None``
-        otherwise.  Consumed by the tracing wrapper so message records
-        carry their causal timestamps."""
-        return self._rt.hb_clock()
-
     # ---- point-to-point -------------------------------------------------------
 
     def Send(self, data: Any, dest: int, tag: int = 0, *, move: bool = False) -> None:
@@ -423,18 +371,13 @@ class Communicator:
         serialises the payload and returns).
 
         With ``move=True`` the caller promises never to reuse the buffer:
-        the thread runtime enqueues it without the eager copy, and the
-        sanitizer freezes it so a write-after-move raises.
+        the thread runtime enqueues it without the eager copy.
         """
         if not 0 <= dest < self.size:
             raise SimMPIError(f"dest {dest} out of range for comm of size {self.size}")
         if isinstance(data, np.ndarray):
             self.bytes_sent += data.nbytes
         self.messages_sent += 1
-        if self._recorder is not None:
-            self._recorder.note_send(self.id, self.rank, dest, tag)
-            if move:
-                freeze_payload(data)
         self._rt.send(self.members[dest], self.id, self.rank, tag, data, move)
 
     def Recv(self, buf: np.ndarray | None = None, source: int = ANY_SOURCE,
@@ -449,11 +392,9 @@ class Communicator:
             tag=None if tag == ANY_TAG else tag,
         ))
         try:
-            src, matched_tag, payload = rt.recv(self.id, source, tag)
+            payload = rt.recv(self.id, source, tag)[2]
         finally:
             rt.wfg_exit()
-        if self._recorder is not None:
-            self._recorder.note_recv(self.id, src, self.rank, matched_tag)
         if buf is not None:
             arr = np.asarray(payload)
             if buf.shape != arr.shape:
@@ -585,8 +526,8 @@ class Communicator:
 
 class _ThreadRuntime:
     """One thread rank's view of its :class:`_World`: in-process
-    mailboxes, happens-before clocks and in-flight windows, ``move=``
-    zero-copy, and the in-memory collective rendezvous."""
+    mailboxes, ``move=`` zero-copy, and the in-memory collective
+    rendezvous."""
 
     def __init__(self, world: _World, world_rank: int):
         self.world = world
@@ -597,16 +538,8 @@ class _ThreadRuntime:
              payload: Any, move: bool) -> None:
         if not move:
             payload = _copy_payload(payload)
-        clock = None
-        hb = self.world.hb
-        if hb is not None:
-            clock = hb.send_event(self.world_rank)
-            if move and isinstance(payload, np.ndarray):
-                # in-flight window: the sender's pool must not recycle
-                # this buffer until the receipt happens-before the release
-                hb.open_window(self.world_rank, payload, dest_world, _send_site())
         self.world.mailbox(chan, dest_world).put(
-            _Message(source=src_rank, tag=tag, payload=payload, clock=clock)
+            _Message(source=src_rank, tag=tag, payload=payload)
         )
 
     def recv(self, chan: str, source: int, tag: int) -> tuple[int, int, Any]:
@@ -617,10 +550,6 @@ class _ThreadRuntime:
             raise
         except DeadlockTimeout as exc:
             raise world.deadlock_error(str(exc)) from None
-        if world.hb is not None:
-            world.hb.recv_event(self.world_rank, msg.clock)
-            if isinstance(msg.payload, np.ndarray):
-                world.hb.mark_received(self.world_rank, msg.payload)
         return msg.source, msg.tag, msg.payload
 
     def wfg_enter(self, op: PendingOp) -> None:
@@ -645,10 +574,6 @@ class _ThreadRuntime:
     def isolate(self, data: Any) -> Any:
         """Collective payloads share the address space: copy them."""
         return _copy_payload(data)
-
-    def hb_clock(self) -> tuple | None:
-        hb = self.world.hb
-        return hb.clock_of(self.world_rank) if hb is not None else None
 
 
 class SimMPI:
@@ -681,8 +606,6 @@ class SimMPI:
         results: list[Any] = [None] * nprocs
 
         def runner(rank: int) -> None:
-            if world.hb is not None:
-                world.hb.register_thread(rank)
             comm = Communicator(_ThreadRuntime(world, rank), "world",
                                 list(range(nprocs)), rank)
             try:
@@ -695,20 +618,12 @@ class SimMPI:
             threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
             for r in range(nprocs)
         ]
-        if world.hb is not None:
-            activate_tracker(world.hb)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=timeout * 2)
-                if t.is_alive():
-                    raise world.deadlock_error(
-                        f"{t.name} did not terminate"
-                    )
-        finally:
-            if world.hb is not None:
-                deactivate_tracker(world.hb)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=timeout * 2)
+            if t.is_alive():
+                raise world.deadlock_error(f"{t.name} did not terminate")
         if world.failures:
             # concurrent timeouts race to snapshot the wait-for graph;
             # surface the failure that caught the cycle when one did
@@ -720,8 +635,6 @@ class SimMPI:
             raise fail
         if world.recorder is not None:
             report = world.recorder.report()
-            if world.hb is not None:
-                report.races.extend(world.hb.races())
             set_last_protocol_report(report)
             if not report.ok:
                 raise ProtocolViolation(report.summary())

@@ -62,7 +62,6 @@ from typing import Any
 
 from repro.checkers.sanitize import ProtocolViolation
 from repro.parallel.frames import Frame, encode_frame, read_frame
-from repro.parallel.fuzz import ScheduleFuzzer
 from repro.parallel.simmpi import DeadlockTimeout, resolve_timeout
 from repro.parallel.transport import (
     SPAWN,
@@ -294,10 +293,6 @@ class _Router:
         self.records: _queue.Queue = _queue.Queue()
         self.abort_reason: str | None = None
         self._abort_lock = threading.Lock()
-        #: seeded schedule perturbation (REPRO_SCHED_FUZZ): random
-        #: jitter before each forwarded frame; the sleep happens in this
-        #: reader thread, so senders never block
-        self.fuzz = ScheduleFuzzer.from_env()
 
     def serve(self, rank: int) -> None:
         sock = self.socks[rank]
@@ -327,8 +322,6 @@ class _Router:
                     raise ProtocolViolation(
                         f"rank {rank} addressed nonexistent rank {frame.dest}"
                     )
-                if self.fuzz is not None:
-                    self.fuzz.sleep_jitter()
                 dst = self.socks[frame.dest]
                 with self.wlocks[frame.dest]:
                     dst.sendall(frame.head)

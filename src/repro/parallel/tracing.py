@@ -27,11 +27,6 @@ class MessageRecord:
     tag: int
     nbytes: int
     timestamp: float
-    #: sender's vector clock at send time (thread backend under
-    #: REPRO_SANITIZE=1; None elsewhere).  Lets a trace consumer check
-    #: happens-before claims offline: record A causally precedes B iff
-    #: A.clock is elementwise <= B.clock and not equal.
-    clock: tuple | None = None
 
 
 @dataclass
@@ -99,8 +94,6 @@ class TracedCommunicator:
                 source=self._comm.rank, dest=dest, tag=tag,
                 nbytes=int(nbytes),
                 timestamp=time.perf_counter(),  # repro: noqa-REP015 — telemetry
-
-                clock=self._comm.hb_clock(),
             )
         )
 

@@ -231,9 +231,6 @@ class RankRuntime:
         """The transport copies or serialises: no eager copy needed."""
         return data
 
-    def hb_clock(self) -> None:
-        return None
-
     def close(self) -> None:
         self.pending.clear()
 
@@ -243,10 +240,7 @@ def verify_protocol(world: Communicator, rec: ProtocolRecorder) -> None:
 
     Runs on every rank after the rank function returns; each rank
     computes the identical merged report, so a violation raises the same
-    :class:`ProtocolViolation` everywhere.  Ordering across rank
-    processes is unknown, so only the order-free checks (send/recv
-    matching and collective lockstep) apply — in-flight tag collisions
-    are a thread-backend check.
+    :class:`ProtocolViolation` everywhere.
     """
     snapshots = world._exchange(world._next_seq(), rec.snapshot())
     merged = ProtocolRecorder.merged([snapshots[r] for r in range(world.size)])

@@ -1,10 +1,10 @@
-"""Dynamic happens-before layer: clocks, wait-for graphs, deadlock cycles.
+"""Wait-for graphs and deadlock cycles.
 
-Unit-level coverage of :mod:`repro.checkers.hb` (vector-clock algebra,
-``PendingOp``/``WaitForGraph``, the ``HBTracker`` buffer windows) plus
-end-to-end induced hangs on all three in-house backends: a two-rank
-cross-receive must raise :class:`DeadlockError` *naming the blocked
-cycle* on the thread, process and socket launchers.  Rank functions for
+Unit-level coverage of :mod:`repro.checkers.hb` (``PendingOp``/
+``WaitForGraph``) plus end-to-end induced hangs on all three in-house
+backends: a two-rank cross-receive must raise :class:`DeadlockError`
+*naming the blocked cycle* on the thread, process and socket
+launchers.  Rank functions for
 the spawn/pickle paths are module-level.
 """
 
@@ -14,50 +14,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.checkers.hb import (
-    HBTracker,
-    PendingOp,
-    WaitForGraph,
-    activate_tracker,
-    active_tracker,
-    deactivate_tracker,
-    dominates,
-    merge_clocks,
-    note_buffer_release,
-)
+from repro.checkers.hb import PendingOp, WaitForGraph
 from repro.parallel.procmpi import ProcMPI
 from repro.parallel.simmpi import DeadlockError, DeadlockTimeout, SimMPI
 from repro.parallel.sockmpi import SockMPI, worker_join
-
-
-# --------------------------------------------------------------------------
-# vector clocks
-# --------------------------------------------------------------------------
-
-
-class TestVectorClocks:
-    def test_merge_elementwise_max(self):
-        assert merge_clocks((1, 5, 0), (3, 2, 0)) == (3, 5, 0)
-
-    def test_merge_none_is_zero_clock(self):
-        assert merge_clocks(None, (1, 2)) == (1, 2)
-        assert merge_clocks((1, 2), None) == (1, 2)
-
-    def test_dominates_is_elementwise_ge(self):
-        assert dominates((2, 3), (2, 3))
-        assert dominates((3, 3), (2, 3))
-        assert not dominates((3, 2), (2, 3))
-
-    def test_dominates_none_rules(self):
-        # anything happens-after the zero clock; an unknown clock
-        # dominates nothing
-        assert dominates((0, 0), None)
-        assert not dominates(None, (0, 0))
-
-
-# --------------------------------------------------------------------------
-# PendingOp / WaitForGraph
-# --------------------------------------------------------------------------
 
 
 class TestPendingOp:
@@ -144,106 +104,6 @@ class TestWaitForGraph:
         raw = {0: PendingOp(rank=0, kind="Recv", source=1).as_dict(), 1: None}
         snap = WaitForGraph.snapshot_from_dicts(raw, 3)
         assert snap[0].kind == "Recv" and snap[1] is None and snap[2] is None
-
-
-# --------------------------------------------------------------------------
-# HBTracker: events and buffer windows
-# --------------------------------------------------------------------------
-
-
-class TestHBTracker:
-    def test_send_recv_ordering(self):
-        t = HBTracker(2)
-        c_send = t.send_event(0)
-        c_recv = t.recv_event(1, c_send)
-        assert dominates(c_recv, c_send)
-        assert not dominates(c_send, c_recv)
-
-    def test_collective_joins_all_clocks(self):
-        t = HBTracker(3)
-        clocks = [t.send_event(r) for r in range(3)]
-        joined = t.collective_event(0, clocks)
-        assert all(dominates(joined, c) for c in clocks)
-        assert t.clock_of(0) == joined
-
-    def test_in_flight_release_is_a_race(self):
-        t = HBTracker(2)
-        t.register_thread(0)
-        buf = np.zeros(4)
-        t.send_event(0)
-        t.open_window(0, buf, dest=1, site="halo.py:10")
-        t.note_release(buf)  # receiver never marked receipt
-        (race,) = t.races()
-        assert race["src"] == 0 and race["dest"] == 1
-        assert "in flight" in race["why"]
-        assert t.open_windows() == 0
-
-    def test_concurrent_release_is_a_race(self):
-        t = HBTracker(2)
-        t.register_thread(0)
-        buf = np.zeros(4)
-        t.send_event(0)
-        t.open_window(0, buf, dest=1, site="s")
-        # receiver gets it, but no message ever flows back to rank 0,
-        # so the release cannot be ordered after the receipt
-        t.recv_event(1, None)
-        t.mark_received(1, buf)
-        t.note_release(buf)
-        (race,) = t.races()
-        assert "concurrent with the receipt" in race["why"]
-
-    def test_ordered_release_is_clean(self):
-        t = HBTracker(2)
-        t.register_thread(0)
-        buf = np.zeros(4)
-        sc = t.send_event(0)
-        t.open_window(0, buf, dest=1, site="s")
-        rc = t.recv_event(1, sc)
-        t.mark_received(1, buf)
-        t.recv_event(0, rc)  # ack flows back: release now dominates receipt
-        t.note_release(buf)
-        assert t.races() == []
-
-    def test_unregistered_thread_release_is_a_race(self):
-        t = HBTracker(2)
-        buf = np.zeros(2)
-        t.open_window(0, buf, dest=1, site="s")
-        t.mark_received(1, buf)
-        t.note_release(buf)  # current_rank() is None on this thread
-        (race,) = t.races()
-        assert "unregistered thread" in race["why"]
-
-    def test_release_without_window_is_ignored(self):
-        t = HBTracker(2)
-        t.register_thread(0)
-        t.note_release(np.zeros(2))
-        assert t.races() == []
-
-    def test_race_records_lazy_release_site(self):
-        t = HBTracker(2)
-        t.register_thread(0)
-        buf = np.zeros(2)
-        t.open_window(0, buf, dest=1, site="open-here")
-        called = []
-        t.note_release(buf, site_fn=lambda: called.append(1) or "rel-here")
-        (race,) = t.races()
-        assert race["release_site"] == "rel-here" and called == [1]
-
-    def test_module_hook_uses_active_tracker(self):
-        t = HBTracker(2)
-        buf = np.zeros(2)
-        activate_tracker(t)
-        try:
-            assert active_tracker() is t
-            t.register_thread(0)
-            t.open_window(0, buf, dest=1, site="s")
-            note_buffer_release(buf)
-        finally:
-            deactivate_tracker(t)
-        assert len(t.races()) == 1
-        assert active_tracker() is not t
-        # with no tracker armed the hook is a cheap no-op
-        note_buffer_release(buf)
 
 
 # --------------------------------------------------------------------------

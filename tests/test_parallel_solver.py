@@ -6,6 +6,7 @@ from repro.core import RunConfig, YinYangDynamo
 from repro.grids.component import Panel
 from repro.mhd.parameters import MHDParameters
 from repro.parallel.parallel_solver import run_parallel_dynamo
+from repro.parallel.tracing import CommTrace, TracedCommunicator
 
 
 @pytest.fixture(scope="module")
@@ -88,46 +89,6 @@ class TestBackendsAndWireFormats:
         assert_bitwise_equal(par.states, serial_run.state,
                              context="process backend vs serial")
 
-    def test_contracts_and_sanitizers_bitwise_smoke(self):
-        """A 2-rank dynamo under ``REPRO_CONTRACTS=1 REPRO_SANITIZE=1``
-        combined must still reproduce the serial solver bitwise: neither
-        checker may perturb the numerics.  Contracts arm at import time,
-        so the run happens in a child interpreter with the env set."""
-        import subprocess
-        import sys
-
-        code = (
-            "import numpy as np\n"
-            "from repro.checkers.contracts import contracts_enabled\n"
-            "from repro.checkers.sanitize import sanitize_enabled\n"
-            "import repro.fd.stencils as st\n"
-            "assert contracts_enabled() and sanitize_enabled()\n"
-            "assert st.diff.__repro_contract__  # boundaries really armed\n"
-            "from repro.core import RunConfig, YinYangDynamo\n"
-            "from repro.grids.component import Panel\n"
-            "from repro.mhd.parameters import MHDParameters\n"
-            "from repro.parallel.parallel_solver import run_parallel_dynamo\n"
-            "cfg = RunConfig(nr=7, nth=12, nph=36,\n"
-            "                params=MHDParameters.laptop_demo(), dt=1e-3,\n"
-            "                amp_temperature=1e-2)\n"
-            "ser = YinYangDynamo(cfg)\n"
-            "for _ in range(2):\n"
-            "    ser.step()\n"
-            "par = run_parallel_dynamo(cfg, 1, 1, 2)\n"
-            "from repro.checkers.fingerprint import assert_bitwise_equal\n"
-            "assert_bitwise_equal(par.states, ser.state,\n"
-            "                     context='contracts+sanitize run')\n"
-            "print('BITWISE_OK')\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, timeout=300,
-            env={"PYTHONPATH": "src", "REPRO_CONTRACTS": "1",
-                 "REPRO_SANITIZE": "1", "PATH": "/usr/bin:/bin"},
-            cwd=".",
-        )
-        assert "BITWISE_OK" in out.stdout, out.stderr
-
     def test_per_rank_step_seconds_reported(self, config):
         par = run_parallel_dynamo(config, 1, 2, 2)
         assert len(par.rank_step_seconds) == 4  # 2 panels x 1 x 2
@@ -209,7 +170,45 @@ def _launcher_contract_program(world, token):
     return panel.size, float(got[0])
 
 
+class _TracingContractComm(TracedCommunicator):
+    """The frozen benchmark's ``_CountingComm``: a subclass that reads
+    ``self._comm`` and ``self.trace`` to trace the communicators split
+    off it too."""
+
+    def split(self, color, key=None):
+        return _TracingContractComm(self._comm.split(color, key), self.trace)
+
+
+def _tracing_contract_program(world, config, trace):
+    from repro.parallel.parallel_solver import ParallelYinYangDynamo
+
+    solver = ParallelYinYangDynamo(_TracingContractComm(world, trace),
+                                   config, 1, 1)
+    world.barrier()
+    before = (trace.n_messages, trace.total_bytes)
+    world.barrier()
+    solver.step()
+    world.barrier()
+    return trace.n_messages - before[0], trace.total_bytes - before[1]
+
+
 class TestBenchmarkContract:
+    def test_e2e_tracing_contract(self, config):
+        """``benchmarks/e2e/probes.py`` is frozen and counts messages per
+        step by subclassing ``TracedCommunicator`` (reading ``_comm`` and
+        ``trace``) and reading ``CommTrace.n_messages``/``total_bytes``
+        on a thread-launcher run.  Renaming any of them fails it."""
+        from repro.parallel.backends import get_backend
+
+        trace = CommTrace()
+        results = get_backend("thread").run(
+            2, _tracing_contract_program, config, trace, timeout=120.0,
+        )
+        # one shared trace, read alike by both ranks
+        assert results[0] == results[1]
+        msgs, nbytes = results[0]
+        assert msgs > 0 and nbytes > 0
+
     def test_e2e_launcher_contract(self):
         """``benchmarks/e2e/`` is frozen and drives the launcher registry
         through exactly these calls: ``detect()`` read as ``.name``,
@@ -253,3 +252,43 @@ class TestBenchmarkContract:
             assert set(phases) == {"comm"}
             assert phases["comm"] > 0.0
             assert all(hooks.values()), hooks
+
+
+class _LauncherReached(Exception):
+    pass
+
+
+class TestTimeoutResolution:
+    """``run_parallel_dynamo`` leaves the deadlock guard to the
+    launcher's ``resolve_timeout`` unless a ``timeout=`` is given."""
+
+    def _launcher_timeout(self, monkeypatch, config, **kwargs) -> float:
+        from repro.parallel import parallel_solver
+        from repro.parallel.simmpi import resolve_timeout
+
+        seen = []
+
+        class _Launcher:
+            @staticmethod
+            def run(nprocs, fn, *args, timeout=None):
+                seen.append(resolve_timeout(timeout))
+                raise _LauncherReached
+
+        monkeypatch.setattr(parallel_solver, "get_backend", lambda name: _Launcher)
+        with pytest.raises(_LauncherReached):
+            run_parallel_dynamo(config, 1, 1, 1, **kwargs)
+        return seen[0]
+
+    def test_env_timeout_reaches_the_launcher(self, monkeypatch, config):
+        monkeypatch.setenv("REPRO_SIMMPI_TIMEOUT", "7.5")
+        assert self._launcher_timeout(monkeypatch, config) == 7.5
+
+    def test_explicit_timeout_wins(self, monkeypatch, config):
+        monkeypatch.setenv("REPRO_SIMMPI_TIMEOUT", "7.5")
+        assert self._launcher_timeout(monkeypatch, config, timeout=3.0) == 3.0
+
+    def test_verify_bitwise_timeout_defaults_to_the_launcher(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["verify-bitwise"])
+        assert args.timeout is None
