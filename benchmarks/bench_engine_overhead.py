@@ -17,8 +17,8 @@ Two measurements, one deterministic check:
   verdict survives machine noise.
 * **paired ratio** — run the real dynamo through the engine with and
   without observers, interleaved in time, and take the median of the
-  per-round time ratios (same drift-cancelling methodology as
-  ``bench_rhs_kernels``).
+  per-round time ratios (the drift-cancelling paired-ratio method of
+  docs/PERF.md).
 * **work counters** — stencil executions per step with and without
   observers must be *identical*: the engine changes who calls ``step``,
   never how much numerical work a step does (the budgets in

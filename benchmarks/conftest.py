@@ -22,11 +22,3 @@ def calibrated_model():
     model.calibrate_kernel_efficiency()
     return model
 
-
-@pytest.fixture(scope="session")
-def rhs_kernel_case():
-    """The 32x64x128 Yin panel + perturbed state + both RHS paths used
-    by bench_rhs_kernels (built once; the state arrays total ~16 MB)."""
-    from bench_rhs_kernels import BENCH_SHAPE, build_case
-
-    return build_case(*BENCH_SHAPE)

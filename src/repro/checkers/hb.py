@@ -1,22 +1,22 @@
 """Wait-for graphs: a runtime hang becomes a named per-rank cycle.
 
-Every *blocking* operation (``Recv``, a collective rendezvous, a
-shared-arena slot acquire, the launcher join) registers a
-:class:`PendingOp` on entry and clears it on exit.  When a timeout
-fires, the snapshot of per-rank pending ops — who waits on whom, with
-source/tag/collective seq — is attached to the raised
-:class:`~repro.parallel.simmpi.DeadlockError` instead of a bare
-``Recv(...) timed out`` guess.  :meth:`WaitForGraph.find_cycle`
+Every rank runtime pushes a :class:`PendingOp` for each *blocking*
+operation it enters (``Recv``, a collective rendezvous, a shared-arena
+slot acquire) on its own op stack and pops it on exit.  When a timeout
+fires, the rank posts its innermost op to the launcher as a STUCK
+notice; the launcher merges every rank's notice into one snapshot —
+who waits on whom, with source/tag/collective seq — and attaches it to
+the raised :class:`~repro.parallel.simmpi.DeadlockError` instead of a
+bare ``Recv(...) timed out`` guess.  :meth:`WaitForGraph.find_cycle`
 extracts a blocked cycle from the snapshot when one exists.
 
-Always on: registration is two dict writes per blocking op.  This
+Always on: registration is a list push and pop per blocking op.  This
 module is pure stdlib and pulls in *nothing* from
 :mod:`repro.parallel`, so the transport modules can import it.
 """
 
 from __future__ import annotations
 
-import threading
 import time as _time
 from dataclasses import dataclass, field
 
@@ -79,11 +79,12 @@ class PendingOp:
 
 
 class WaitForGraph:
-    """Per-world registry of blocking ops, with cycle extraction.
+    """Cycle extraction over a world snapshot of blocking ops.
 
-    ``enter``/``exit`` bracket every blocking call; ``pending_snapshot``
-    is read on timeout to explain *why* the world is stuck.  The edge
-    relation (`rank r` waits on `rank s`) is derived from the snapshot:
+    A snapshot maps each world rank to the op it is blocked in (or
+    ``None`` for a rank still running); it explains *why* the world is
+    stuck.  The edge relation (`rank r` waits on `rank s`) is derived
+    from the snapshot:
 
     * a ``Recv`` from a concrete source waits on that source;
     * an ANY-source receive waits on every *other blocked* rank (it can
@@ -91,27 +92,6 @@ class WaitForGraph:
     * a collective waits on every member that has not yet arrived at
       the same ``(comm, seq)`` rendezvous but is blocked elsewhere.
     """
-
-    def __init__(self, nranks: int):
-        self.nranks = nranks
-        self._pending: dict[int, PendingOp] = {}
-        self._lock = threading.Lock()
-
-    def enter(self, op: PendingOp) -> PendingOp:
-        with self._lock:
-            self._pending[op.rank] = op
-        return op
-
-    def exit(self, rank: int) -> None:
-        with self._lock:
-            self._pending.pop(rank, None)
-
-    def pending_snapshot(self) -> dict[int, PendingOp | None]:
-        with self._lock:
-            snap = dict(self._pending)
-        return {r: snap.get(r) for r in range(self.nranks)}
-
-    # ---- analysis (static methods: usable on merged cross-process views) --
 
     @staticmethod
     def edges(snapshot: dict) -> dict[int, list[int]]:
@@ -189,7 +169,7 @@ class WaitForGraph:
 
     @staticmethod
     def snapshot_from_dicts(raw: dict, nranks: int) -> dict[int, PendingOp | None]:
-        """Rebuild a snapshot from per-rank op dicts (process/socket views)."""
+        """Rebuild a snapshot from per-rank op dicts (merged STUCK notices)."""
         out: dict[int, PendingOp | None] = {}
         for r in range(nranks):
             d = raw.get(r)

@@ -137,10 +137,10 @@ class ProtocolReport:
 class ProtocolRecorder:
     """Thread-safe log of collective sequences and request lifetimes.
 
-    The thread backend shares one recorder across all ranks; the
-    process and socket backends keep one per rank and merge picklable
-    :meth:`snapshot` s at finalize.  Both checks are order-free, so the
-    merged report equals the shared one.
+    Every backend keeps one recorder per rank and merges the picklable
+    :meth:`snapshot` s at finalize
+    (:func:`repro.parallel.transport.verify_protocol`).  Both checks are
+    order-free, so the merged report does not depend on arrival order.
     """
 
     def __init__(self) -> None:

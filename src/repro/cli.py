@@ -275,22 +275,25 @@ def _verify_bitwise_cases():
     ``ref_kernels`` the kernel backend of the serial reference timeline
     it must be bitwise-identical to, and ``run_kwargs`` feeds
     :func:`~repro.parallel.parallel_solver.run_parallel_dynamo` (``None``
-    = a serial run).  Every row names its kernels explicitly, so the
+    = a serial run; ``tiles`` is the per-panel rank layout).  Every
+    row names its kernels explicitly, so the
     matrix means the same whichever way the default resolves: the
     compiled C backend's contract is bitwise identity with ``fused``
     (mirroring ``test_rhs_c_bitwise_matches_fused``), and it is held to
     it serially, on every launcher and across an elastic restart.  The ``fused`` case is a second serial
     fused run: run-to-run stability.  ``default`` is what a user who
-    sets nothing gets.  ``elastic`` is special-cased in the driver
-    (checkpoint mid-run at 4 ranks, restart at 2).
+    sets nothing gets.  The thread row runs 2x3 tiles per panel (12
+    ranks), whose own spacings differ from the panel's by an ulp at
+    some tiles.  ``elastic`` is special-cased in the driver (checkpoint
+    mid-run at 4 ranks, restart at 2).
     """
     return [
         ("fused", "fused", "fused", None),
         ("c", "c", "fused", None),
         ("default", None, "fused", None),
-        ("thread", "c", "fused", {"backend": "thread"}),
-        ("process", "c", "fused", {"backend": "process"}),
-        ("socket", "c", "fused", {"backend": "socket"}),
+        ("thread", "c", "fused", {"backend": "thread", "tiles": (2, 3)}),
+        ("process", "c", "fused", {"backend": "process", "tiles": (1, 2)}),
+        ("socket", "c", "fused", {"backend": "socket", "tiles": (1, 2)}),
         ("elastic", "c", "fused", {"backend": "process"}),
     ]
 
@@ -358,8 +361,8 @@ def _cmd_verify_bitwise(args) -> None:
         with kernels_env(kernels):
             if not elastic:
                 result = run_parallel_dynamo(
-                    config, 1, 2, steps, fingerprint_every=1,
-                    timeout=args.timeout, **run_kwargs,
+                    config, *run_kwargs["tiles"], steps, fingerprint_every=1,
+                    timeout=args.timeout, backend=run_kwargs["backend"],
                 )
                 return result.fingerprints, result.kernel_backend
             # elastic: checkpoint at 4 ranks mid-run, restart at 2 ranks

@@ -106,6 +106,16 @@ class SphericalPatch:
     def dphi(self) -> float:
         return float(self.phi[1] - self.phi[0])
 
+    def tile(self, theta: slice, phi: slice) -> SphericalPatch:
+        """The sub-patch ``theta[theta] x phi[phi]`` over all radii, with
+        this patch's spacings.  A tile's own ``theta[1] - theta[0]`` can
+        be one ulp off the panel's, and a rank's tile must difference
+        with exactly the serial panel's spacings to stay bitwise-equal
+        to it."""
+        sub = SphericalPatch(r=self.r, theta=self.theta[theta], phi=self.phi[phi])
+        sub.__dict__.update(dr=self.dr, dtheta=self.dtheta, dphi=self.dphi)
+        return sub
+
     @property
     def ri(self) -> float:
         """Inner wall radius."""

@@ -65,7 +65,7 @@ DEFAULT_LAUNCHER = "thread"
 #: to right).  Values are the backend module paths; each module carries
 #: the registration contract described above.
 BACKENDS: dict[str, str] = {
-    "thread": "repro.parallel.simmpi",
+    "thread": "repro.parallel.threadmpi",
     "process": "repro.parallel.procmpi",
     "socket": "repro.parallel.sockmpi",
 }

@@ -32,7 +32,6 @@ from repro.core.guard import HealthReport, assert_healthy
 from repro.engine import CadenceController, IntegrationResult, Integrator
 from repro.engine.observers import StepObserver, TimerObserver
 from repro.fd import backend as kernel_backend
-from repro.grids.base import SphericalPatch
 from repro.grids.component import Panel
 from repro.grids.yinyang import YinYangGrid
 from repro.mhd.boundary import WallBC
@@ -94,12 +93,8 @@ class ParallelYinYangDynamo:
         self.decomp = PanelDecomposition(c.nth, c.nph, pth, pph)
         self.sub = self.decomp.subdomain(self.panel_comm.rank)
 
-        panel_grid = self.grid.panel(self.panel)
-        lsl = self.sub.local_extent_global()
-        self.local_patch = SphericalPatch(
-            r=panel_grid.r,
-            theta=panel_grid.theta[lsl[0]],
-            phi=panel_grid.phi[lsl[1]],
+        self.local_patch = self.grid.panel(self.panel).tile(
+            *self.sub.local_extent_global()
         )
         omega = c.params.omega
         omega_cart = (0.0, 0.0, omega) if self.panel is Panel.YIN else (0.0, omega, 0.0)

@@ -29,7 +29,7 @@ Environment
 ``REPRO_PROCMPI_SLOTS`` / ``REPRO_PROCMPI_SLOT_BYTES``
     Arena geometry (slot count / slot size in bytes).
 ``REPRO_SIMMPI_TIMEOUT``
-    Blocking-operation guard, shared with the thread backend.
+    Blocking-operation guard, shared with the other backends.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ from repro.parallel.simmpi import SimMPIError, resolve_timeout
 from repro.parallel.transport import (
     SPAWN,
     RankRuntime,
-    _pack_exception,
     collect,
+    pack_outcome,
     reap,
     serve_rank,
+    unpack_outcome,
 )
 
 __all__ = ["ProcMPI"]
@@ -235,11 +236,12 @@ def _worker_main(rank: int, nprocs: int, arena_name: str, slot_bytes: int,
         runtime = _ProcRuntime(rank, nprocs, arena_name, slot_bytes, n_slots,
                                free_q, inboxes, records, timeout)
     except BaseException as exc:  # noqa: BLE001 - reported to launcher
-        records.put(("err", rank, _pack_exception(exc)))
+        records.put(("err", rank, pack_outcome("err", exc)))
         return
     try:
         serve_rank(runtime, fn, fn_args, fn_kwargs,
-                   lambda status, packed: records.put((status, rank, packed)))
+                   lambda status, outcome: records.put(
+                       (status, rank, pack_outcome(status, outcome))))
     except BaseException:  # noqa: BLE001 - already reported to launcher
         pass
     finally:
@@ -249,7 +251,7 @@ def _worker_main(rank: int, nprocs: int, arena_name: str, slot_bytes: int,
 class ProcMPI:
     """Launcher: run an SPMD function with one OS process per rank.
 
-    Mirrors :meth:`repro.parallel.simmpi.SimMPI.run`, but ``fn``,
+    Mirrors :meth:`repro.parallel.threadmpi.SimMPI.run`, but ``fn``,
     ``args`` and ``kwargs`` must be picklable (spawn start method) and
     the per-rank return values are shipped back through a result queue.
     """
@@ -291,7 +293,7 @@ class ProcMPI:
             # spawn re-imports the interpreter per rank; allow generous
             # startup slack on top of the run-time guard
             results, error = collect(records, nprocs, 2 * timeout + 60.0 * nprocs,
-                                     "process", procs)
+                                     "process", procs, unpack_outcome)
         finally:
             reap(procs, error is not None, timeout)
             for q in [*inboxes, free_q, records]:

@@ -1,7 +1,7 @@
-"""SimMPI — an MPI look-alike with interchangeable rank runtimes.
+"""SimMPI — an MPI look-alike: one communicator over interchangeable wires.
 
-Runs an SPMD rank function on one *worker per rank* and provides the
-MPI subset yycore needs (paper Section IV):
+Provides the MPI subset yycore needs (paper Section IV) to an SPMD rank
+function running on one *worker per rank*:
 
 * point-to-point: ``Send`` / ``Isend`` / ``Recv`` / ``Irecv`` with
   ``(source, tag)`` matching, NumPy-buffer payloads copied eagerly
@@ -15,13 +15,17 @@ MPI subset yycore needs (paper Section IV):
 * communicator management: ``split`` (the paper's ``MPI_COMM_SPLIT``
   dividing the world into the Yin and Yang panel groups) and ``dup``.
 
-There is one :class:`Communicator`; what differs per backend is only
-its *runtime* — how one tagged message gets from rank a to rank b.
-Select a backend with :func:`repro.parallel.backends.get_backend`:
+There is one :class:`Communicator` over one runtime contract
+(:class:`repro.parallel.transport.RankRuntime`: the matching loop, the
+collective rendezvous and the wait-for protocol); what differs per
+backend is only the wire — how one tagged message gets from rank a to
+rank b.  Select a backend with
+:func:`repro.parallel.backends.get_backend`:
 
-* ``"thread"`` (this module) — one thread per rank, in-process
-  mailboxes.  A *correctness* substrate: the GIL serialises
-  NumPy-light work, so it performs no real parallel speedup.
+* ``"thread"`` (:mod:`repro.parallel.threadmpi`) — one thread per
+  rank, one in-process queue per rank.  A *correctness* substrate: the
+  GIL serialises NumPy-light work, so it performs no real parallel
+  speedup.
 * ``"process"`` (:mod:`repro.parallel.procmpi`) — one OS process per
   rank; message payloads travel through a ``multiprocessing.
   shared_memory`` arena by memcpy, so the ranks genuinely use
@@ -54,44 +58,17 @@ machines where the default could misreport a busy world as a
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
 
-from repro.checkers.hb import PendingOp, WaitForGraph
-from repro.checkers.sanitize import (
-    ProtocolRecorder,
-    ProtocolViolation,
-    sanitize_enabled,
-    set_last_protocol_report,
-)
+from repro.checkers.hb import PendingOp
+from repro.checkers.sanitize import ProtocolRecorder
 
 ANY_SOURCE = -2
 ANY_TAG = -1
-
-# ---- launcher registration (repro.parallel.backends) ------------------------------
-
-LAUNCHER_NAME = "thread"
-
-#: Registry capabilities record (see ``backends.LauncherCapabilities``).
-LAUNCHER_CAPABILITIES = dict(picklable_fn=False, cross_host=False, self_launch=True)
-
-
-def launcher_detect() -> tuple[bool, str]:
-    """Availability probe: threads always work — this is the registry's
-    graceful fallback on any machine with an interpreter."""
-    return True, "one thread per rank, in-process mailboxes (always available)"
-
-
-def open_launcher(**opts):
-    """Registry hook: the launcher object (``.run(nprocs, fn, ...)``)."""
-    if opts:
-        raise TypeError(f"thread launcher takes no options, got {sorted(opts)}")
-    return SimMPI
-
 
 def _timeout_from_env(default: float = 120.0) -> float:
     """``REPRO_SIMMPI_TIMEOUT`` (seconds), or ``default`` when unset/bad."""
@@ -152,125 +129,6 @@ class DeadlockError(DeadlockTimeout):
 
 
 @dataclass
-class _Message:
-    source: int
-    tag: int
-    payload: Any
-
-
-class _MailBox:
-    """Per-(comm, receiver-rank) queue with (source, tag) matching."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._messages: list[_Message] = []
-
-    def put(self, msg: _Message) -> None:
-        with self._cond:
-            self._messages.append(msg)
-            self._cond.notify_all()
-
-    def get(self, source: int, tag: int, timeout: float) -> _Message:
-        def match():
-            for i, m in enumerate(self._messages):
-                if (source == ANY_SOURCE or m.source == source) and (
-                    tag == ANY_TAG or m.tag == tag
-                ):
-                    return i
-            return None
-
-        with self._cond:
-            while True:
-                idx = match()
-                if idx is not None:
-                    return self._messages.pop(idx)
-                if not self._cond.wait(timeout=timeout):
-                    raise DeadlockTimeout(
-                        f"Recv(source={source}, tag={tag}) timed out after {timeout}s"
-                    )
-
-
-class _World:
-    """Shared state of one thread world: mailboxes and collective slots."""
-
-    def __init__(self, nprocs: int, timeout: float):
-        self.nprocs = nprocs
-        self.timeout = timeout
-        self._boxes: dict[tuple[str, int], _MailBox] = {}
-        self._boxes_lock = threading.Lock()
-        self._coll_lock = threading.Lock()
-        self._coll_cond = threading.Condition(self._coll_lock)
-        self._coll_slots: dict[tuple[str, int], dict[int, Any]] = {}
-        self._coll_done: dict[tuple[str, int], dict[int, Any]] = {}
-        self.failures: list[BaseException] = []
-        #: shared across ranks (threads), so one report covers the world
-        self.recorder: ProtocolRecorder | None = (
-            ProtocolRecorder() if sanitize_enabled() else None
-        )
-        #: wait-for graph: always on (two dict writes per blocking op)
-        self.wfg = WaitForGraph(nprocs)
-
-    def mailbox(self, chan: str, world_rank: int) -> _MailBox:
-        key = (chan, world_rank)
-        with self._boxes_lock:
-            if key not in self._boxes:
-                self._boxes[key] = _MailBox()
-            return self._boxes[key]
-
-    def deadlock_error(self, base: str) -> DeadlockError:
-        """Upgrade a bare timeout into a wait-for-graph diagnosis.
-
-        Called from ``except DeadlockTimeout`` blocks *before* the
-        blocked op is popped, so the failing rank's own op is in the
-        snapshot too."""
-        snap = self.wfg.pending_snapshot()
-        cycle = WaitForGraph.find_cycle(snap)
-        return DeadlockError(
-            base + "\n" + WaitForGraph.describe(snap, cycle),
-            pending={r: (op.as_dict() if op is not None else None)
-                     for r, op in snap.items()},
-            cycle=cycle,
-        )
-
-    def exchange(
-        self, comm: Communicator, seq: int, payload: Any
-    ) -> dict[int, Any]:
-        """Deposit ``payload`` and wait until every member of ``comm`` has
-        deposited for the same sequence number; returns all payloads."""
-        key = (comm.id, seq)
-        size = comm.size
-        self.wfg.enter(PendingOp(
-            rank=comm.world_rank, kind="collective", comm=comm.id, seq=seq,
-            members=tuple(comm.members),
-        ))
-        try:
-            with self._coll_cond:
-                slot = self._coll_slots.setdefault(key, {})
-                slot[comm.rank] = payload
-                if len(slot) == size:
-                    self._coll_done[key] = self._coll_slots.pop(key)
-                    self._coll_cond.notify_all()
-                else:
-                    while key not in self._coll_done:
-                        if not self._coll_cond.wait(timeout=self.timeout):
-                            raise self.deadlock_error(
-                                f"collective seq={seq} on comm {comm.id} timed out "
-                                f"({len(slot)}/{size} ranks arrived)"
-                            )
-                result = self._coll_done[key]
-                # last rank to leave cleans up
-                slot_readers = self._coll_slots.setdefault(("readers",) + key, {})  # type: ignore[arg-type]
-                slot_readers[comm.rank] = True
-                if len(slot_readers) == size:
-                    del self._coll_done[key]
-                    del self._coll_slots[("readers",) + key]  # type: ignore[arg-type]
-        finally:
-            self.wfg.exit(comm.world_rank)
-        return result
-
-
-@dataclass
 class Request:
     """Handle for a non-blocking operation.
 
@@ -306,13 +164,6 @@ class Request:
         return self._done
 
 
-def _copy_payload(data: Any) -> Any:
-    """Eager copy giving buffered-send semantics."""
-    if isinstance(data, np.ndarray):
-        return data.copy()
-    return data
-
-
 class Communicator:
     """An MPI-style communicator over a subset of world ranks.
 
@@ -333,8 +184,7 @@ class Communicator:
         the collective rendezvous;
     ``isolate(data)`` / ``recorder``.
 
-    The thread runtime is :class:`_ThreadRuntime` below; the process
-    and socket runtimes share :class:`repro.parallel.transport.
+    Every backend's runtime is a :class:`repro.parallel.transport.
     RankRuntime`.  Reductions associate in rank order on every runtime,
     which keeps results bit-reproducible and identical across backends.
     """
@@ -519,123 +369,3 @@ class Communicator:
             self._rt, f"{self.id}/d{self._child_count}", self.members,
             self.world_rank,
         )
-
-
-# ---- thread runtime ------------------------------------------------------------------
-
-
-class _ThreadRuntime:
-    """One thread rank's view of its :class:`_World`: in-process
-    mailboxes, ``move=`` zero-copy, and the in-memory collective
-    rendezvous."""
-
-    def __init__(self, world: _World, world_rank: int):
-        self.world = world
-        self.world_rank = world_rank
-        self.recorder = world.recorder
-
-    def send(self, dest_world: int, chan: str, src_rank: int, tag: int,
-             payload: Any, move: bool) -> None:
-        if not move:
-            payload = _copy_payload(payload)
-        self.world.mailbox(chan, dest_world).put(
-            _Message(source=src_rank, tag=tag, payload=payload)
-        )
-
-    def recv(self, chan: str, source: int, tag: int) -> tuple[int, int, Any]:
-        world = self.world
-        try:
-            msg = world.mailbox(chan, self.world_rank).get(source, tag, world.timeout)
-        except DeadlockError:
-            raise
-        except DeadlockTimeout as exc:
-            raise world.deadlock_error(str(exc)) from None
-        return msg.source, msg.tag, msg.payload
-
-    def wfg_enter(self, op: PendingOp) -> None:
-        self.world.wfg.enter(op)
-
-    def wfg_exit(self) -> None:
-        self.world.wfg.exit(self.world_rank)
-
-    def exchange(self, comm: Communicator, seq: int, payload: Any) -> dict[int, Any]:
-        return self.world.exchange(comm, seq, payload)
-
-    def gather(self, comm: Communicator, seq: int, data: Any,
-               root: int) -> list[Any] | None:
-        all_data = self.world.exchange(comm, seq, data)
-        if comm.rank == root:
-            return [all_data[r] for r in range(comm.size)]
-        return None
-
-    def bcast(self, comm: Communicator, seq: int, data: Any, root: int) -> Any:
-        return self.world.exchange(comm, seq, data)[root]
-
-    def isolate(self, data: Any) -> Any:
-        """Collective payloads share the address space: copy them."""
-        return _copy_payload(data)
-
-
-class SimMPI:
-    """Launcher: run an SPMD function on ``nprocs`` thread ranks.
-
-    >>> def program(comm):
-    ...     return comm.allreduce(comm.rank)
-    >>> SimMPI.run(4, program)
-    [6, 6, 6, 6]
-
-    The other backends are reached through
-    :func:`repro.parallel.backends.get_backend`.
-    """
-
-    @staticmethod
-    def run(
-        nprocs: int,
-        fn: Callable[..., Any],
-        *args: Any,
-        timeout: float = None,
-        **kwargs: Any,
-    ) -> list[Any]:
-        """Execute ``fn(comm, *args, **kwargs)`` on every rank; returns the
-        per-rank return values in rank order.  Any rank exception aborts
-        the world and is re-raised (with all failures noted)."""
-        timeout = resolve_timeout(timeout)
-        if nprocs < 1:
-            raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-        world = _World(nprocs, timeout)
-        results: list[Any] = [None] * nprocs
-
-        def runner(rank: int) -> None:
-            comm = Communicator(_ThreadRuntime(world, rank), "world",
-                                list(range(nprocs)), rank)
-            try:
-                results[rank] = fn(comm, *args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - reported to launcher
-                world.failures.append(exc)
-                raise
-
-        threads = [
-            threading.Thread(target=runner, args=(r,), name=f"simmpi-rank-{r}", daemon=True)
-            for r in range(nprocs)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=timeout * 2)
-            if t.is_alive():
-                raise world.deadlock_error(f"{t.name} did not terminate")
-        if world.failures:
-            # concurrent timeouts race to snapshot the wait-for graph;
-            # surface the failure that caught the cycle when one did
-            fail = world.failures[0]
-            for f in world.failures:
-                if isinstance(f, DeadlockError) and f.cycle:
-                    fail = f
-                    break
-            raise fail
-        if world.recorder is not None:
-            report = world.recorder.report()
-            set_last_protocol_report(report)
-            if not report.ok:
-                raise ProtocolViolation(report.summary())
-        return results

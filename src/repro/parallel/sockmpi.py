@@ -68,8 +68,10 @@ from repro.parallel.transport import (
     RankRuntime,
     WorkerError,
     collect,
+    pack_outcome,
     reap,
     serve_rank,
+    unpack_outcome,
 )
 
 __all__ = ["SockMPI", "worker_join"]
@@ -254,7 +256,8 @@ def worker_join(address: str, *, timeout: float | None = None) -> Any:
         runtime = _SockRuntime(sock, rank, nprocs, run_timeout)
         return serve_rank(
             runtime, fn, fn_args, fn_kwargs,
-            lambda status, packed: runtime.send_ctl(("RESULT", rank, status, packed)),
+            lambda status, outcome: runtime.send_ctl(
+                ("RESULT", rank, status, pack_outcome(status, outcome))),
         )
     finally:
         if runtime is not None:
@@ -357,7 +360,7 @@ class _Router:
 class SockMPI:
     """Launcher: run an SPMD function over a TCP coordinator world.
 
-    Mirrors :meth:`repro.parallel.simmpi.SimMPI.run` — ``fn``, its
+    Mirrors :meth:`repro.parallel.threadmpi.SimMPI.run` — ``fn``, its
     arguments and its per-rank return values travel by pickle, so they
     must be picklable.  By default the launcher binds loopback and
     spawns its own local worker processes; with ``spawn=False`` (or
@@ -430,7 +433,7 @@ class SockMPI:
             for t in threads:
                 t.start()
             results, error = collect(router.records, nprocs, 2 * timeout + 60.0,
-                                     "socket")
+                                     "socket", unpack=unpack_outcome)
         except BaseException as exc:  # noqa: BLE001 - re-raised after teardown
             error = exc
         finally:

@@ -1,7 +1,8 @@
-"""What the out-of-process rank runtimes share: everything but the wire.
+"""What every rank runtime shares: everything but the wire.
 
-The process and socket backends differ only in how one tagged message
-gets from rank a to rank b.  Everything else is written once here:
+The thread, process and socket backends differ only in how one tagged
+message gets from rank a to rank b.  Everything else is written once
+here:
 
 * :class:`RankRuntime` — the per-rank runtime behind
   :class:`~repro.parallel.simmpi.Communicator`: the ``pending``-list /
@@ -11,13 +12,16 @@ gets from rank a to rank b.  Everything else is written once here:
   a private control channel, with root-only ``gather`` / one-to-all
   ``bcast``).  A backend supplies ``send``, ``_fetch`` (the next message
   descriptor within ``remaining`` seconds), ``_materialise`` and
-  ``_post_stuck``.
+  ``_post_stuck``, plus ``isolate`` where collective payloads would
+  otherwise be shared.
 * The launcher skeleton — :data:`SPAWN` (the one ``multiprocessing``
-  context), :func:`serve_rank` on the worker side, and on the launcher
+  context), :func:`serve_rank` on the rank side, and on the launcher
   side :func:`collect` (one loop over one record queue for results,
   STUCK notices and aborts, with the dead-worker check, the run guard
   and the merged :class:`~repro.parallel.simmpi.DeadlockError`) and
-  :func:`reap`.
+  :func:`reap`.  Launchers whose ranks live in other processes pickle a
+  rank's outcome with :func:`pack_outcome` and hand
+  :func:`unpack_outcome` to :func:`collect`.
 * :func:`verify_protocol` — the finalize-time sanitizer merge: each
   rank's :class:`~repro.checkers.sanitize.ProtocolRecorder` snapshot is
   allgathered *over the transport itself* and every rank checks the
@@ -62,8 +66,10 @@ __all__ = [
     "SPAWN",
     "WorkerError",
     "collect",
+    "pack_outcome",
     "reap",
     "serve_rank",
+    "unpack_outcome",
     "verify_protocol",
 ]
 
@@ -83,7 +89,7 @@ class WorkerError(SimMPIError):
 
 
 class RankRuntime:
-    """One out-of-process rank's transport, minus the wire.
+    """One rank's transport, minus the wire.
 
     Subclasses implement ``send(dest_world, chan, src_rank, tag,
     payload, move)`` plus three hooks:
@@ -95,6 +101,9 @@ class RankRuntime:
     ``_materialise(descriptor) -> payload``;
     ``_post_stuck(op_dict)``
         tell the launcher which op this rank is blocked in.
+
+    A wire that shares memory between ranks also overrides
+    :meth:`isolate`.
     """
 
     def __init__(self, world_rank: int, nprocs: int, timeout: float):
@@ -178,6 +187,9 @@ class RankRuntime:
             seq=seq, members=tuple(comm.members), detail=what,
         ))
 
+    # The communicator isolates collective payloads before they get here,
+    # so the rendezvous hands them on without a second copy (move=True).
+
     def exchange(self, comm: Communicator, seq: int, payload: Any) -> dict[int, Any]:
         chan = comm.id + COLL_CHANNEL
         self._coll(comm, "exchange", seq)
@@ -188,9 +200,9 @@ class RankRuntime:
                     src, _, p = self.recv(chan, ANY_SOURCE, seq)
                     slot[src] = p
                 for r in range(1, comm.size):
-                    self.send(comm.members[r], chan, 0, seq, slot, False)
+                    self.send(comm.members[r], chan, 0, seq, slot, True)
                 return slot
-            self.send(comm.members[0], chan, comm.rank, seq, payload, False)
+            self.send(comm.members[0], chan, comm.rank, seq, payload, True)
             return self.recv(chan, 0, seq)[2]
         finally:
             self.wfg_exit()
@@ -209,7 +221,7 @@ class RankRuntime:
                     src, _, p = self.recv(chan, ANY_SOURCE, seq)
                     slot[src] = p
                 return [slot[r] for r in range(comm.size)]
-            self.send(comm.members[root], chan, comm.rank, seq, data, False)
+            self.send(comm.members[root], chan, comm.rank, seq, data, True)
             return None
         finally:
             self.wfg_exit()
@@ -221,14 +233,14 @@ class RankRuntime:
             if comm.rank == root:
                 for r in range(comm.size):
                     if r != root:
-                        self.send(comm.members[r], chan, root, seq, data, False)
+                        self.send(comm.members[r], chan, root, seq, data, True)
                 return data
             return self.recv(chan, root, seq)[2]
         finally:
             self.wfg_exit()
 
     def isolate(self, data: Any) -> Any:
-        """The transport copies or serialises: no eager copy needed."""
+        """A wire that copies or serialises needs no eager copy."""
         return data
 
     def close(self) -> None:
@@ -253,46 +265,51 @@ def verify_protocol(world: Communicator, rec: ProtocolRecorder) -> None:
 # ---- launcher skeleton -------------------------------------------------------------
 #
 # Records on a launcher's queue are ``(kind, rank, body)``:
-#   ("ok", rank, packed result) / ("err", rank, packed exception)
+#   ("ok", rank, return value) / ("err", rank, exception)
+#                                      packed by pack_outcome when the
+#                                      rank lives in another process
 #   ("stuck", rank, op dict or None)   a blocking op of rank timed out
 #   ("abort", -1, reason)              the transport lost the world
 
 
-def _pack_result(value: Any) -> tuple[str, Any]:
+def pack_outcome(status: str, outcome: Any) -> tuple[str, Any]:
+    """A rank's return value (``"ok"``) or exception (``"err"``) as a
+    picklable record body.  Pickling here, on the rank, turns an
+    unpicklable outcome into text instead of a lost record."""
+    if status == "ok":
+        try:
+            return "pickle", pickle.dumps(outcome)
+        except Exception as exc:  # unpicklable return value
+            return "text", (repr(outcome).encode() + b" (unpicklable: "
+                            + repr(exc).encode() + b")")
+    tb = "".join(traceback.format_exception(type(outcome), outcome,
+                                            outcome.__traceback__))
     try:
-        return "pickle", pickle.dumps(value)
-    except Exception as exc:  # unpicklable return value
-        return "text", repr(value).encode() + b" (unpicklable: " + repr(exc).encode() + b")"
-
-
-def _pack_exception(exc: BaseException) -> tuple[str, Any]:
-    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-    try:
-        return "exc", (pickle.dumps(exc), tb)
+        return "exc", (pickle.dumps(outcome), tb)
     except Exception:
-        return "text", f"{type(exc).__name__}: {exc}\n{tb}"
+        return "text", f"{type(outcome).__name__}: {outcome}\n{tb}"
 
 
-def _unpack_result(packed: tuple[str, Any]) -> Any:
-    how, blob = packed
-    return pickle.loads(blob) if how == "pickle" else blob
-
-
-def _unpack_exception(rank: int, packed: tuple[str, Any]) -> BaseException:
-    how, payload = packed
+def unpack_outcome(status: str, rank: int, packed: tuple[str, Any]) -> Any:
+    """Inverse of :func:`pack_outcome`, on the launcher: the value, or
+    the exception to raise (a :class:`WorkerError` carrying the
+    traceback text when the original does not unpickle)."""
+    how, body = packed
+    if status == "ok":
+        return pickle.loads(body) if how == "pickle" else body
     if how == "exc":
-        blob, tb = payload
+        blob, tb = body
         try:
             return pickle.loads(blob)
         except Exception:
             return WorkerError(f"rank {rank} failed:\n{tb}")
-    return WorkerError(f"rank {rank} failed:\n{payload}")
+    return WorkerError(f"rank {rank} failed:\n{body}")
 
 
 def serve_rank(runtime: RankRuntime, fn: Callable[..., Any], args: tuple,
                kwargs: dict, report: Callable[[str, Any], None]) -> Any:
     """Run ``fn`` on this rank's world communicator and ``report`` the
-    outcome (``"ok"``/``"err"`` plus the packed value or exception).
+    outcome (``"ok"`` plus the value, or ``"err"`` plus the exception).
     Returns the value; re-raises the rank's exception after reporting."""
     try:
         comm = Communicator(runtime, "world", list(range(runtime.nprocs)),
@@ -302,9 +319,9 @@ def serve_rank(runtime: RankRuntime, fn: Callable[..., Any], args: tuple,
             verify_protocol(comm, runtime.recorder)
     except BaseException as exc:  # noqa: BLE001 - reported to the launcher
         with contextlib.suppress(OSError):
-            report("err", _pack_exception(exc))
+            report("err", exc)
         raise
-    report("ok", _pack_result(value))
+    report("ok", value)
     return value
 
 
@@ -320,14 +337,18 @@ def _world_deadlock(first_line: str, stuck: dict[int, dict | None],
 
 
 def collect(records, nprocs: int, guard: float, what: str,
-            procs: Sequence[Any] = ()) -> tuple[list[Any], BaseException | None]:
+            procs: Sequence[Any] = (),
+            unpack: Callable[[str, int, Any], Any] | None = None,
+            ) -> tuple[list[Any], BaseException | None]:
     """Wait for every rank's result, or the first failure.
 
-    ``records`` is the launcher's record queue (see above).  ``procs``
-    are the rank processes indexed by rank, when the launcher knows
-    them: one that exits non-zero without reporting fails the world at
-    once.  Past ``guard`` seconds the world is a deadlock described by
-    whatever STUCK notices arrived.
+    ``records`` is the launcher's record queue (see above); ``unpack``
+    turns an ``ok``/``err`` body into the value or exception (none when
+    the bodies are the rank's own objects).  ``procs`` are the rank
+    processes indexed by rank, when the launcher knows them: one that
+    exits non-zero without reporting fails the world at once.  Past
+    ``guard`` seconds the world is a deadlock described by whatever
+    STUCK notices arrived.
     """
     results: list[Any] = [None] * nprocs
     stuck: dict[int, dict | None] = {}
@@ -357,10 +378,12 @@ def collect(records, nprocs: int, guard: float, what: str,
         if kind == "abort":
             return results, ProtocolViolation(body)
         finished.add(rank)
+        if unpack is not None:
+            body = unpack(kind, rank, body)
         if kind == "ok":
-            results[rank] = _unpack_result(body)
+            results[rank] = body
             continue
-        error = _unpack_exception(rank, body)
+        error = body
         if isinstance(error, DeadlockError):
             error = _merge_stuck(records, error, stuck, finished, nprocs)
         return results, error

@@ -16,8 +16,9 @@ import pytest
 
 from repro.checkers.hb import PendingOp, WaitForGraph
 from repro.parallel.procmpi import ProcMPI
-from repro.parallel.simmpi import DeadlockError, DeadlockTimeout, SimMPI
+from repro.parallel.simmpi import DeadlockError, DeadlockTimeout
 from repro.parallel.sockmpi import SockMPI, worker_join
+from repro.parallel.threadmpi import SimMPI
 
 
 class TestPendingOp:
@@ -42,15 +43,6 @@ class TestPendingOp:
 
 
 class TestWaitForGraph:
-    def test_enter_exit_snapshot(self):
-        wfg = WaitForGraph(3)
-        wfg.enter(PendingOp(rank=1, kind="Recv", source=0))
-        snap = wfg.pending_snapshot()
-        assert snap[0] is None and snap[2] is None
-        assert snap[1].source == 0
-        wfg.exit(1)
-        assert all(op is None for op in wfg.pending_snapshot().values())
-
     def test_concrete_recv_edges_and_cycle(self):
         snap = {
             0: PendingOp(rank=0, kind="Recv", source=1),

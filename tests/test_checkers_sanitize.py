@@ -18,7 +18,7 @@ from repro.checkers.sanitize import (
 )
 from repro.fd.kernels import BufferPool
 from repro.parallel.backends import get_backend
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import pytest
 
 from repro.parallel import backends as pb
 from repro.parallel.procmpi import ProcMPI
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 from repro.parallel.sockmpi import SockMPI
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.parallel.cart import PROC_NULL, create_cart
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 
 
 def run_cart(nprocs, dims, fn, periods=(False, False)):

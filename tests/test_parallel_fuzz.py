@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 
 
 @st.composite

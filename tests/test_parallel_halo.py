@@ -4,7 +4,7 @@ import pytest
 from repro.parallel.cart import create_cart
 from repro.parallel.decomposition import HALO, PanelDecomposition
 from repro.parallel.halo import HaloExchanger
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 
 
 def exchange_world(nth, nph, pth, pph, nr=3, nfields=1, seed=0):

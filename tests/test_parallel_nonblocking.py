@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.checkers.sanitize import ProtocolRecorder
 from repro.parallel.backends import BACKENDS, available_backends, get_backend, probe
-from repro.parallel.simmpi import Communicator, SimMPI
+from repro.parallel.simmpi import Communicator
+from repro.parallel.threadmpi import SimMPI
 
 
 @st.composite
@@ -112,6 +113,10 @@ def _parity_prog(comm):
     return [float(g.sum()) for g in got]
 
 
+def _comm_class(comm):
+    return type(comm)
+
+
 _CROSS_BACKENDS = [
     b for b in ("process", "socket")
     if b in available_backends() and probe(b).capabilities.self_launch
@@ -139,13 +144,17 @@ class TestCrossBackendParity:
         contract: every registered backend runs its ranks on the one
         :class:`Communicator` (no backend defines a communicator class
         of its own), and that class provides them."""
-        comm_classes = {
+        own_classes = {
             obj
             for module in BACKENDS.values()
             for obj in vars(importlib.import_module(module)).values()
             if isinstance(obj, type) and hasattr(obj, "Recv")
+            and obj is not Communicator
         }
-        assert comm_classes == {Communicator}
+        assert not own_classes
+        for backend in ["thread", *_CROSS_BACKENDS]:
+            got = get_backend(backend).run(2, _comm_class, timeout=60.0)
+            assert got == [Communicator, Communicator], backend
         for method in ("Isend", "Irecv", "Waitall"):
             assert callable(getattr(Communicator, method, None)), method
 

@@ -5,7 +5,7 @@ from repro.grids.component import Panel
 from repro.grids.yinyang import YinYangGrid
 from repro.parallel.decomposition import PanelDecomposition
 from repro.parallel.overset_comm import OversetExchanger
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 
 
 def run_overset_world(grid, pth, pph, build_fields, vector=False):

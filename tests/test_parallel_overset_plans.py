@@ -14,7 +14,7 @@ from repro.grids.component import Panel
 from repro.grids.yinyang import YinYangGrid
 from repro.parallel.decomposition import PanelDecomposition
 from repro.parallel.overset_comm import OversetExchanger, _build_direction
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 
 ASYMMETRIC_LAYOUTS = [(1, 3), (3, 1), (2, 3), (1, 1)]
 

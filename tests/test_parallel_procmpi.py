@@ -11,7 +11,8 @@ import pytest
 
 from repro.parallel.backends import available_backends, get_backend
 from repro.parallel.procmpi import ProcMPI
-from repro.parallel.simmpi import SimMPI, SimMPIError
+from repro.parallel.simmpi import SimMPIError
+from repro.parallel.threadmpi import SimMPI
 from repro.parallel.transport import WorkerError
 
 

@@ -20,7 +20,7 @@ from repro.parallel.decomposition import HALO, PanelDecomposition
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.overset_comm import OversetExchanger
 from repro.parallel.procmpi import ProcMPI, _ProcRuntime
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 
 _DECOMP12 = PanelDecomposition(14, 40, 1, 2)
 

@@ -1,6 +1,7 @@
 import glob
 import os
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -12,9 +13,9 @@ from repro.parallel.simmpi import (
     ANY_SOURCE,
     ANY_TAG,
     DeadlockTimeout,
-    SimMPI,
     SimMPIError,
 )
+from repro.parallel.threadmpi import SimMPI
 from repro.parallel.transport import WorkerError
 
 
@@ -382,6 +383,12 @@ def _killed_prog(comm):
     comm.Recv(source=1, tag=0)  # rank 1 is gone: never sent
 
 
+def _failing_prog(comm):
+    if comm.rank == 0:
+        raise ValueError("rank 0 gave up")
+    comm.Recv(source=0, tag=0)  # rank 0 never sends
+
+
 class TestEveryBackend:
     @pytest.mark.parametrize("backend", ["thread", "process", "socket"])
     def test_point_to_point_semantics(self, backend):
@@ -408,6 +415,34 @@ class TestFaultMatrix:
         assert time.monotonic() - t0 < 10.0
         assert "startup" not in str(ei.value)
         assert set(glob.glob("/dev/shm/psm_*")) <= segments
+
+    @pytest.mark.parametrize("backend", ["thread", "process", "socket"])
+    def test_failing_rank_fails_fast(self, backend, monkeypatch):
+        """A rank that raises while a peer blocks on it fails the world
+        with its own error in seconds, not at the blocking guard, and
+        leaves no rank thread behind."""
+        monkeypatch.setenv("REPRO_SIMMPI_TIMEOUT", "30")
+        before = set(threading.enumerate())
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="rank 0 gave up"):
+            get_backend(backend).run(2, _failing_prog)
+        assert time.monotonic() - t0 < 5.0
+        assert not [t for t in threading.enumerate()
+                    if t not in before and t.name.startswith("simmpi-rank-")]
+
+    def test_thread_ranks_get_their_own_objects(self):
+        """Thread-rank outcomes are not pickled: an unpicklable return
+        value comes back as itself, and so does the raised exception."""
+        fns = SimMPI.run(2, lambda comm: (lambda: comm.rank))
+        assert [f() for f in fns] == [0, 1]
+        err = ValueError("this very object")
+
+        def prog(comm):
+            raise err
+
+        with pytest.raises(ValueError) as ei:
+            SimMPI.run(1, prog)
+        assert ei.value is err
 
     @pytest.mark.parametrize("backend", ["process", "socket"])
     def test_unpicklable_rank_function_is_named(self, backend):

@@ -31,8 +31,9 @@ from repro.parallel.frames import (
     validate_payload,
 )
 from repro.parallel.parallel_solver import run_parallel_dynamo
-from repro.parallel.simmpi import SimMPI, SimMPIError
+from repro.parallel.simmpi import SimMPIError
 from repro.parallel.sockmpi import SockMPI, _recv_exactly_fn, worker_join
+from repro.parallel.threadmpi import SimMPI
 from repro.parallel.transport import WorkerError
 
 _PREFIX = struct.Struct("<IBI")

@@ -3,7 +3,7 @@ import numpy as np
 from repro.parallel.cart import create_cart
 from repro.parallel.decomposition import PanelDecomposition
 from repro.parallel.halo import HaloExchanger
-from repro.parallel.simmpi import SimMPI
+from repro.parallel.threadmpi import SimMPI
 from repro.parallel.tracing import CommTrace, TracedCommunicator
 
 
