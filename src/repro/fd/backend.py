@@ -64,7 +64,7 @@ def probe(name: str) -> BackendInfo:
         from repro.fd.ckernels import build
 
         if build.is_loaded():
-            return BackendInfo("c", True, "compiled kernels loaded")
+            return BackendInfo("c", True, f"compiled kernels loaded ({build.isa()})")
         status = build.build_status()
         if status["error"]:
             return BackendInfo("c", False, status["error"])

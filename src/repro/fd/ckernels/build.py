@@ -12,9 +12,14 @@ losing the race is fine because every winner produced the same bytes
 
 Compile flags matter for reproducibility: ``-ffp-contract=off`` forbids
 FMA contraction so every C expression performs the same IEEE-754
-roundings as the NumPy ufunc sequence it mirrors, and no
-``-march=native`` keeps the cached object portable across the machines
-that share a cache directory.
+roundings as the NumPy ufunc sequence it mirrors.
+``-fno-trapping-math`` changes no value; it only lets GCC if-convert the
+assemble sweep's rotation terms so that loop vectorises.  There is no
+``-march=native``: on x86-64 the RHS sweeps carry
+``target_clones("avx2","default")`` and the loader picks the clone for
+the host (:func:`isa` names it), so one cached object stays portable
+across the machines that share a cache directory and rounds identically
+on all of them.
 
 Nothing here raises at import time.  :func:`toolchain_available` is the
 single probe point (monkeypatch target for the forced-fallback tests);
@@ -40,9 +45,9 @@ _CACHE_ENV = "REPRO_CKERNELS_CACHE"
 _MODULE_NAME = "_repro_ckernels"
 #: Public so the determinism lint (REP016) and docs can point at the
 #: exact flag set: -ffp-contract=off is the bitwise contract with the
-#: NumPy reference, not an optimization preference.
-COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
-_COMPILE_ARGS = COMPILE_ARGS  # legacy alias
+#: NumPy reference, not an optimization preference; -fno-trapping-math
+#: only licenses if-conversion (no value changes).
+COMPILE_ARGS = ["-O3", "-ffp-contract=off", "-fno-trapping-math"]
 
 #: Memoized (lib, ffi) pair / failure reason for this process.
 _loaded: tuple | None = None
@@ -69,7 +74,7 @@ def source_key() -> str:
     h = hashlib.sha256()
     h.update(CDEF.encode())
     h.update(CSRC.encode())
-    h.update(repr(_COMPILE_ARGS).encode())
+    h.update(repr(COMPILE_ARGS).encode())
     h.update(sysconfig.get_platform().encode())
     h.update(f"py{sys.version_info[0]}.{sys.version_info[1]}".encode())
     return h.hexdigest()[:16]
@@ -106,6 +111,15 @@ def is_loaded() -> bool:
     return _loaded is not None
 
 
+def isa() -> str | None:
+    """Instruction set of the sweep clone the loader picked on this host
+    (``"avx2"`` or ``"default"``); None until the kernels are loaded."""
+    if _loaded is None:
+        return None
+    lib, ffi = _loaded
+    return ffi.string(lib.ck_isa()).decode()
+
+
 def build_status() -> dict:
     """Introspection for the ``repro-paper kernels`` subcommand."""
     ok, detail = toolchain_available()
@@ -116,6 +130,7 @@ def build_status() -> dict:
         "shared_object": str(target),
         "built": target.exists(),
         "loaded": _loaded is not None,
+        "isa": isa(),
         "toolchain": detail if ok else None,
         "toolchain_ok": ok,
         "error": _load_error,
@@ -127,7 +142,7 @@ def _compile(target: Path) -> None:
 
     builder = FFI()
     builder.cdef(CDEF)
-    builder.set_source(_MODULE_NAME, CSRC, extra_compile_args=_COMPILE_ARGS)
+    builder.set_source(_MODULE_NAME, CSRC, extra_compile_args=COMPILE_ARGS)
     target.parent.mkdir(parents=True, exist_ok=True)
     # build in a private tmpdir on the same filesystem, publish atomically
     tmpdir = tempfile.mkdtemp(prefix=".build-", dir=target.parent)

@@ -68,7 +68,8 @@ MUTANTS = [
     ),
     pytest.param(
         "REP016", "repro/fd/ckernels/build.py",
-        [('COMPILE_ARGS = ["-O3", "-ffp-contract=off"]', 'COMPILE_ARGS = ["-O3"]')],
+        [('COMPILE_ARGS = ["-O3", "-ffp-contract=off", "-fno-trapping-math"]',
+          'COMPILE_ARGS = ["-O3", "-fno-trapping-math"]')],
         id="M16a-compile-args-lose-fp-contract-off",
     ),
 ]

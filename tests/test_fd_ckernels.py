@@ -3,10 +3,15 @@
 The C kernels were written to mirror NumPy's per-operation rounding
 (left-associated accumulation, ``-ffp-contract=off``), so equality here
 is *bitwise*, not approximate: the elementwise state algebra, the fused
-RHS and a whole serial dynamo run.
+RHS and a whole serial dynamo run.  Every comparison is on the bit
+patterns (:func:`assert_bits_equal`), so a ``-0.0`` where NumPy has
+``+0.0`` fails too — the assemble sweep's skipped rotation terms rely on
+signed-zero identities.
 """
 
 from __future__ import annotations
+
+import importlib.util
 
 import numpy as np
 import pytest
@@ -20,6 +25,29 @@ pytestmark = pytest.mark.skipif(
     not kernel_backend.probe("c").available,
     reason="C kernel backend unavailable (no toolchain and no cached build)",
 )
+
+
+def assert_bits_equal(got, want, err_msg=""):
+    """Same dtype, shape and IEEE-754 bit pattern in every element."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype, err_msg
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.uint64),
+        np.ascontiguousarray(want).view(np.uint64), err_msg=err_msg)
+
+
+def assert_states_bits_equal(got, want, err_msg=""):
+    from repro.mhd.state import FIELD_NAMES
+
+    for name in FIELD_NAMES:
+        assert_bits_equal(getattr(got, name), getattr(want, name),
+                          err_msg=f"{err_msg} {name}")
+
+
+def test_assert_bits_equal_tells_signed_zeros_apart():
+    assert_bits_equal(np.array([0.0, 1.5]), np.array([0.0, 1.5]))
+    with pytest.raises(AssertionError):
+        assert_bits_equal(np.array([-0.0]), np.array([0.0]))
 
 
 def _ck():
@@ -36,21 +64,25 @@ def test_elementwise_iadd_axpy_bitwise():
     ck = _ck()
     out = np.empty_like(x)
     assert ck.axpy_into(x, y, a, out)
-    np.testing.assert_array_equal(out, x + a * y)
+    assert_bits_equal(out, x + a * y)
     # Non-contiguous operands are refused (caller falls back to NumPy).
     assert not ck.axpy_into(x.T, y.T, a, out.T)
 
 
-@pytest.fixture
-def yin_case():
+def _panel_case(panel: str, shape: tuple[int, int, int]):
+    """A perturbed conduction state on one panel with the solver's own
+    rotation vector: Yin-local (0, 0, omega) leaves Omega_phi inactive,
+    act = (1, 1, 0); Yang-local (0, omega, 0) has all three, (1, 1, 1)."""
     from repro.grids.yinyang import YinYangGrid
     from repro.mhd.initial import conduction_state
     from repro.mhd.parameters import MHDParameters
     from repro.mhd.state import FIELD_NAMES, MHDState
 
     params = MHDParameters.laptop_demo()
-    grid = YinYangGrid(9, 12, 16, ri=params.ri, ro=params.ro)
-    patch = grid.yin
+    grid = YinYangGrid(*shape, ri=params.ri, ro=params.ro)
+    patch = getattr(grid, panel)
+    omega = ((0.0, 0.0, params.omega) if panel == "yin"
+             else (0.0, params.omega, 0.0))
     base = conduction_state(patch, params)
     rng = np.random.default_rng(42)
     state = MHDState(
@@ -59,24 +91,87 @@ def yin_case():
             for n in FIELD_NAMES
         }
     )
-    omega = (0.0, 0.0, params.omega)
+    return patch, params, omega, state, base
+
+
+@pytest.fixture
+def yin_case():
+    patch, params, omega, state, _ = _panel_case("yin", (9, 12, 16))
     return patch, params, omega, state
 
 
-def test_rhs_c_bitwise_matches_fused(yin_case, monkeypatch):
-    from repro.mhd.equations import PanelEquations
-    from repro.mhd.state import FIELD_NAMES
+# an even and an odd phi count (the odd one leaves a remainder after the
+# vectorised interior loop on any vector width), each on both panels
+PANEL_CASES = [(panel, shape) for shape in ((9, 12, 16), (7, 10, 17))
+               for panel in ("yin", "yang")]
 
-    patch, params, omega, state = yin_case
-    fused = PanelEquations(patch, params, omega, backend="fused")
+
+def test_rhs_c_bitwise_matches_fused(monkeypatch):
+    from repro.mhd.equations import PanelEquations
+
     monkeypatch.setenv(kernel_backend.KERNELS_ENV, "c")
-    ceq = PanelEquations(patch, params, omega, fused=True)
-    assert ceq.kernel_backend == "c"
-    want = fused.rhs(state)
-    got = ceq.rhs(state)
-    assert ceq.kernel_backend == "c"  # no silent fallback happened
-    for name in FIELD_NAMES:
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for panel, shape in PANEL_CASES:
+        patch, params, omega, state, base = _panel_case(panel, shape)
+        expected_act = (True, True, False) if panel == "yin" else (True, True, True)
+        for with_base in (False, True):
+            case = f"{panel} {shape} base={with_base}"
+            fused = PanelEquations(patch, params, omega, backend="fused")
+            ceq = PanelEquations(patch, params, omega, fused=True)
+            assert ceq.kernel_backend == "c"
+            assert ceq._w2_active == expected_act
+            if with_base:
+                fused.subtract_base(base)
+                ceq.subtract_base(base)
+                assert_states_bits_equal(ceq.base_rhs, fused.base_rhs, case)
+            want = fused.rhs(state)
+            got = ceq.rhs(state)
+            assert ceq.kernel_backend == "c", case  # no silent fallback
+            assert_states_bits_equal(got, want, case)
+
+
+def test_isa_names_the_loaded_clone():
+    from repro.fd.ckernels import build
+
+    build.load()
+    isa = build.isa()
+    assert isa in ("avx2", "default")
+    assert build.build_status()["isa"] == isa
+    assert kernel_backend.probe("c").detail == f"compiled kernels loaded ({isa})"
+
+
+def test_undispatched_build_gives_the_same_bits(tmp_path, monkeypatch):
+    """The sweeps compiled without ``target_clones`` — the baseline code
+    a host without AVX2 runs — give the bits of the dispatched build, on
+    both panels with the base subtraction."""
+    from cffi import FFI
+
+    from repro.fd.ckernels import build, csrc
+    from repro.fd.ckernels.rhs import CPanelContext
+    from repro.mhd.equations import PanelEquations
+
+    clones = '__attribute__((target_clones("avx2","default")))'
+    assert csrc.CSRC.count(clones) == 1
+    name = "_repro_ckernels_undispatched"
+    builder = FFI()
+    builder.cdef(csrc.CDEF)
+    builder.set_source(name, csrc.CSRC.replace(clones, ""),
+                       extra_compile_args=build.COMPILE_ARGS)
+    spec = importlib.util.spec_from_file_location(
+        name, builder.compile(tmpdir=str(tmp_path)))
+    plain = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plain)
+
+    for panel in ("yin", "yang"):
+        patch, params, omega, state, base = _panel_case(panel, (7, 10, 17))
+        eq = PanelEquations(patch, params, omega, backend="c")
+        eq.subtract_base(base)
+        want = eq.rhs(state)
+        assert eq.kernel_backend == "c"
+        with monkeypatch.context() as m:
+            m.setattr(build, "load", lambda: (plain.lib, plain.ffi))
+            ctx = CPanelContext(eq)
+        assert ctx._lib is plain.lib
+        assert_states_bits_equal(ctx.rhs(state, base=eq.base_rhs), want, panel)
 
 
 def test_rhs_c_out_and_base_bitwise_match_fused(yin_case):
@@ -93,9 +188,7 @@ def test_rhs_c_out_and_base_bitwise_match_fused(yin_case):
     base = conduction_state(patch, params)
     fused.subtract_base(base)
     ceq.subtract_base(base)
-    for name in FIELD_NAMES:
-        np.testing.assert_array_equal(
-            getattr(ceq.base_rhs, name), getattr(fused.base_rhs, name))
+    assert_states_bits_equal(ceq.base_rhs, fused.base_rhs, "base")
 
     want = fused.rhs(state)
     before = state.copy()
@@ -104,10 +197,9 @@ def test_rhs_c_out_and_base_bitwise_match_fused(yin_case):
     assert got is store and ceq.kernel_backend == "c"
     fresh = ceq.rhs(state)
     assert fresh is not store
-    for name in FIELD_NAMES:
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        np.testing.assert_array_equal(getattr(fresh, name), getattr(want, name))
-        np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
+    assert_states_bits_equal(got, want, "out")
+    assert_states_bits_equal(fresh, want, "fresh")
+    assert_states_bits_equal(state, before, "input")
     # the NumPy paths may ignore offered storage; the result is the same
     assert fused.rhs(state, out=store) is not store
     # storage the C sweep cannot write into is declined, not corrupted
@@ -115,7 +207,7 @@ def test_rhs_c_out_and_base_bitwise_match_fused(yin_case):
     declined = ceq.rhs(state, out=strided)
     assert declined is not strided
     assert not any(np.any(a) for a in strided.arrays())
-    np.testing.assert_array_equal(declined.p, want.p)
+    assert_bits_equal(declined.p, want.p)
 
 
 def test_rhs_c_stencil_counts_match_fused(yin_case, monkeypatch):
@@ -143,7 +235,6 @@ def test_serial_dynamo_c_matches_numpy(monkeypatch):
     driver: bitwise."""
     from repro.core.config import RunConfig
     from repro.core.yycore import YinYangDynamo
-    from repro.mhd.state import FIELD_NAMES
 
     def run(backend_env):
         monkeypatch.setenv(kernel_backend.KERNELS_ENV, backend_env)
@@ -161,10 +252,7 @@ def test_serial_dynamo_c_matches_numpy(monkeypatch):
         assert ref.equations[panel].kernel_backend == "fused"
     assert ref.kernels is None and cdyn.kernels is not None
     for panel, state in cdyn.state.items():
-        ref_state = ref.state[panel]
-        for name in FIELD_NAMES:
-            np.testing.assert_array_equal(
-                getattr(state, name), getattr(ref_state, name), err_msg=f"{panel} {name}")
+        assert_states_bits_equal(state, ref.state[panel], str(panel))
 
 
 # ---- the rest of the RK4 stage: the final combine ---------------------------------
@@ -219,6 +307,5 @@ def test_rk4_combine_bitwise_equals_four_passes(shape, seed, dt, mode):
     got = y.rk4_combine_into(weights, ks, out, ck)
     assert got is out
     plain = y.rk4_combine_into(weights, ks, MHDState.zeros(shape))
-    for name in FIELD_NAMES:
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        np.testing.assert_array_equal(getattr(plain, name), getattr(want, name))
+    assert_states_bits_equal(got, want, "compiled")
+    assert_states_bits_equal(plain, want, "numpy")
