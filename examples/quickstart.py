@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py  [~20 seconds]
 """
 
 from repro import MHDParameters, RunConfig, YinYangDynamo
+from repro.engine import TimerObserver
 
 
 def main() -> None:
@@ -33,22 +34,20 @@ def main() -> None:
 
     print("\nAdvancing 120 RK4 steps ...")
     print(f"{'step':>6} {'time':>9} {'dt':>10} {'kinetic E':>12} {'magnetic E':>12}")
-    dt = dyn.estimate_dt()
-    for k in range(120):
-        dt = dyn.estimate_dt() if k % 10 == 0 else dt
-        dyn.step(dt)
-        if (k + 1) % 20 == 0:
-            e = dyn.energies()
-            print(
-                f"{dyn.step_count:>6} {dyn.time:>9.4f} {dt:>10.2e} "
-                f"{e.kinetic:>12.4e} {e.magnetic:>12.4e}"
-            )
+    # the CFL step is re-estimated every config.dt_recompute_every steps
+    timer = TimerObserver()
+    for rec in dyn.run(120, record_every=20, observers=[timer]):
+        e = rec.energies
+        print(
+            f"{rec.step:>6} {rec.time:>9.4f} {rec.dt:>10.2e} "
+            f"{e.kinetic:>12.4e} {e.magnetic:>12.4e}"
+        )
 
     e = dyn.energies()
     assert dyn.is_physical(), "state went unphysical"
     print("\nFinal energies:", {k: f"{v:.4g}" for k, v in e.as_dict().items()})
-    print("Timer report:\n" + dyn.timers.report())
-
+    print(f"{timer.steps_timed / timer.total_seconds:.1f} steps/s "
+          f"({timer.steps_timed} steps in {timer.total_seconds:.2f} s)")
 
 if __name__ == "__main__":
     main()

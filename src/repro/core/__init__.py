@@ -4,6 +4,8 @@
   the finite-difference MHD dynamo on the Yin-Yang grid.
 * :class:`~repro.core.latlon_core.LatLonDynamo` — the previous-generation
   baseline on the traditional latitude-longitude grid.
+* :class:`~repro.core.driver.DynamoCore` — the time stepping both
+  (and every rank of the parallel solver) share.
 * :class:`~repro.core.config.RunConfig` — shared run configuration.
 """
 

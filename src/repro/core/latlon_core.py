@@ -15,51 +15,33 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import RunConfig
-from repro.core.guard import HealthReport, assert_healthy
-from repro.core.yycore import HistoryRecord
-from repro.engine import CadenceController, HistoryRecorder, Integrator
-from repro.fd import backend as kernel_backend
+from repro.core.driver import DynamoCore
 from repro.grids.latlon import LatLonGrid
 from repro.mhd.boundary import WallBC
-from repro.mhd.cfl import estimate_dt
 from repro.mhd.diagnostics import EnergyReport, panel_energies
 from repro.mhd.equations import PanelEquations
 from repro.mhd.initial import conduction_state, perturb_state
-from repro.mhd.rk4 import rk4_step
 from repro.mhd.state import MHDState
-from repro.utils.timer import TimerRegistry
 
 
-class LatLonDynamo:
+class LatLonDynamo(DynamoCore):
     """Serial lat-lon MHD dynamo driver (baseline)."""
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
         c = self.config
         self.grid = LatLonGrid.build(c.nr, c.nth, c.nph, ri=c.params.ri, ro=c.params.ro)
-        # one kernel backend for the driver's life (REPRO_KERNELS read once)
-        backend = kernel_backend.select()
-        #: compiled elementwise kernels for the state algebra, or None
-        self.kernels = kernel_backend.compiled_module(backend)
         self.equations = PanelEquations(
-            self.grid, c.params, (0.0, 0.0, c.params.omega), backend=backend
+            self.grid, c.params, (0.0, 0.0, c.params.omega),
+            backend=self._select_kernels(),
         )
+        self.patches = (self.grid,)
         self.wall_bc = WallBC(c.params, magnetic=c.magnetic_bc)
-        self.timers = TimerRegistry()
-        self.time = 0.0
-        self.step_count = 0
-        self._last_dt = float("nan")
-        self.history: list[HistoryRecord] = []
         if c.subtract_base_rhs:
             base = conduction_state(self.grid, c.params)
             self.enforce(base)
             self.equations.subtract_base(base)
-        #: recycled storage for a step's four stage derivatives (see
-        #: :class:`~repro.core.yycore.YinYangDynamo`)
-        self._ks = (None, None, None, None)
-        if self.kernels is not None:
-            self._ks = tuple(MHDState.zeros(self.grid.shape) for _ in range(4))
-        self.state = self.initial_state()
+        self._start(self.initial_state())
 
     def initial_state(self) -> MHDState:
         c = self.config
@@ -71,105 +53,19 @@ class LatLonDynamo:
         self.enforce(s)
         return s
 
-    # ---- TimeDependentSystem interface ------------------------------------------
+    # ---- the geometry the driver core steps ------------------------------------
 
     def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
-        with self.timers.timing("rhs"):
-            return self.equations.rhs(state, out=out)
+        return self.equations.rhs(state, out=out)
 
     def enforce(self, state: MHDState) -> None:
-        with self.timers.timing("halo"):
-            self.grid.fill_halos_scalar(state.rho)
-            self.grid.fill_halos_scalar(state.p)
-            self.grid.fill_halos_vector(*state.f)
-            self.grid.fill_halos_vector(*state.a)
-        with self.timers.timing("wall_bc"):
-            self.wall_bc.apply(state)
+        self.grid.fill_halos_scalar(state.rho)
+        self.grid.fill_halos_scalar(state.p)
+        self.grid.fill_halos_vector(*state.f)
+        self.grid.fill_halos_vector(*state.a)
+        self.wall_bc.apply(state)
 
-    @staticmethod
-    def axpy(state: MHDState, a: float, k: MHDState) -> MHDState:
-        return state.axpy(a, k)
-
-    def axpy_into(self, state: MHDState, a: float, k: MHDState,
-                  out: MHDState) -> MHDState:
-        """``state + a*k`` written over the dead stage state ``out``."""
-        return state.axpy_into(a, k, out, self.kernels)
-
-    @property
-    def rk4_combine(self):
-        """:func:`rk4_step`'s one-call final combine, with compiled
-        kernels only (see :class:`~repro.core.yycore.YinYangDynamo`)."""
-        return self._rk4_combine if self.kernels is not None else None
-
-    def _rk4_combine(self, state: MHDState, weights, ks, out: MHDState) -> MHDState:
-        """The final RK4 combine over the dead stage state ``out``."""
-        return state.rk4_combine_into(weights, ks, out, self.kernels)
-
-    # ---- time stepping ---------------------------------------------------------------
-
-    def estimate_dt(self) -> float:
-        """CFL step — includes the pole-throttled longitudinal width."""
-        return estimate_dt([(self.grid, self.state)], self.config.params, cfl=self.config.cfl)
-
-    def step(self, dt: float | None = None) -> float:
-        if dt is None:
-            dt = self.config.dt or self.estimate_dt()
-        self.state = rk4_step(self, self.state, dt, self._ks)
-        self.time += dt
-        self.step_count += 1
-        self._last_dt = dt
-        c = self.config
-        if c.filter_strength > 0.0 and self.step_count % c.filter_every == 0:
-            from repro.mhd.filter import filter_state
-
-            filter_state(self.state, c.filter_strength)
-            self.enforce(self.state)
-        return dt
-
-    def advance(self, dt: float) -> float:
-        """:class:`~repro.engine.system.IntegrableDriver` hook."""
-        return self.step(dt)
-
-    def run(self, n_steps: int, *, record_every: int = 1,
-            observers=()) -> list[HistoryRecord]:
-        """Advance ``n_steps`` steps through the shared engine (same
-        policy and observers as the Yin-Yang driver)."""
-        obs = list(observers)
-        if record_every:
-            obs.insert(0, HistoryRecorder(record_every))
-        controller = CadenceController.from_config(self.config, n_steps)
-        Integrator(self, controller, obs).run()
-        return self.history
-
-    def record(self, dt: float | None = None) -> HistoryRecord:
-        """Append an energy sample; ``dt`` defaults to the last step's."""
-        rec = HistoryRecord(
-            step=self.step_count,
-            time=self.time,
-            dt=self._last_dt if dt is None else dt,
-            energies=self.energies(),
-        )
-        self.history.append(rec)
-        return rec
-
-    # ---- engine capabilities (guard / checkpoint) -------------------------------
-
-    def check_health(self, *, step: int | None = None,
-                     max_grid_reynolds: float = 20.0) -> HealthReport:
-        """Guard hook — raises :class:`~repro.core.guard.SolverDivergence`
-        with a diagnosis when the state left the physical regime."""
-        return assert_healthy(
-            self.grid, self.state, self.config.params,
-            step=step, max_grid_reynolds=max_grid_reynolds,
-        )
-
-    def save_checkpoint(self, path: str | Path) -> Path:
-        """Checkpoint hook: archive the single state (explicitly marked
-        as such — a restore cannot mistake it for half a panel pair)."""
-        from repro.core.checkpoint import save_checkpoint
-
-        return save_checkpoint(path, self.state, time=self.time,
-                               step=self.step_count)
+    # ---- checkpoint restore --------------------------------------------------------
 
     def restore_checkpoint(self, path: str | Path) -> None:
         """Resume from a single-state checkpoint."""
@@ -195,9 +91,6 @@ class LatLonDynamo:
         return panel_energies(
             self.grid, self.state, self.config.params, w * mask[None, :, :]
         )
-
-    def is_physical(self) -> bool:
-        return self.state.is_physical()
 
     def pole_step_penalty(self) -> float:
         """Ratio of the equatorial to polar longitudinal cell widths —

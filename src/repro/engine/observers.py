@@ -19,7 +19,6 @@ from __future__ import annotations
 import time as _time
 from pathlib import Path
 
-from repro.utils.timer import TimerRegistry
 from repro.utils.validation import require
 
 
@@ -194,70 +193,30 @@ class TimerObserver(StepObserver):
     """Attribute wall-clock time to the run loop, mirroring the paper's
     per-phase MPIPROGINF accounting.
 
-    Accumulates a ``step`` phase (one interval per completed step) in
-    the driver's own :class:`~repro.utils.timer.TimerRegistry` when it
-    has one, or a private registry otherwise.  In the parallel case a
-    comm trace (any object with ``n_messages`` / ``total_bytes``, e.g.
-    :class:`~repro.parallel.tracing.CommTrace`) can be attached; the
-    messages and bytes the run generated are exposed as
-    ``comm_messages`` / ``comm_bytes`` after ``on_finish``.
+    ``total_seconds`` accumulates one interval per completed step and
+    ``steps_timed`` counts them; ``comm_seconds`` reads what the driver
+    booked under ``phase_seconds["comm"]``.
     """
 
-    def __init__(self, registry: TimerRegistry | None = None,
-                 *, name: str = "step", comm_trace=None):
-        self.registry = registry
-        self.name = name
-        self.comm_trace = comm_trace
-        self.comm_messages: int | None = None
-        self.comm_bytes: int | None = None
+    def __init__(self):
+        #: wall seconds of the completed steps so far; each rank of a
+        #: parallel run allgathers it after its loop, giving the
+        #: load-balance picture the paper reads off MPIPROGINF
+        self.total_seconds = 0.0
+        #: number of step intervals accumulated so far
+        self.steps_timed = 0
         self._mark: float | None = None
-        self._msgs0 = 0
-        self._bytes0 = 0
         self._driver = None
 
     def on_start(self, driver) -> None:
         self._driver = driver
-        if self.registry is None:
-            registry = getattr(driver, "timers", None)
-            self.registry = registry if isinstance(registry, TimerRegistry) \
-                else TimerRegistry()
-        if self.comm_trace is not None:
-            self._msgs0 = self.comm_trace.n_messages
-            self._bytes0 = self.comm_trace.total_bytes
         self._mark = _time.perf_counter()
 
     def after_step(self, event) -> None:
         now = _time.perf_counter()
-        timer = self.registry.timer(self.name)
-        timer.total += now - (self._mark if self._mark is not None else now)
-        timer.count += 1
+        self.total_seconds += now - (self._mark if self._mark is not None else now)
+        self.steps_timed += 1
         self._mark = now
-
-    def on_finish(self, driver) -> None:
-        if self.comm_trace is not None:
-            self.comm_messages = self.comm_trace.n_messages - self._msgs0
-            self.comm_bytes = self.comm_trace.total_bytes - self._bytes0
-
-    @property
-    def total_seconds(self) -> float:
-        """Accumulated wall seconds of the observed phase so far.
-
-        Used for per-rank timing in the parallel runner: each rank
-        allgathers this after its loop ends, giving the load-balance
-        picture the paper reads off MPIPROGINF.
-        """
-        if self.registry is None:
-            return 0.0
-        return float(self.registry.timer(self.name).total)
-
-    @property
-    def steps_timed(self) -> int:
-        """Number of step intervals accumulated so far."""
-        if self.registry is None:
-            return 0
-        return int(self.registry.timer(self.name).count)
-
-    # -- communication accounting (drivers exposing ``phase_seconds``) ----
 
     @property
     def comm_seconds(self) -> float:

@@ -4,10 +4,9 @@ Two contracts live here:
 
 * :class:`TimeDependentSystem` — the *stage-level* interface consumed by
   :func:`repro.mhd.rk4.rk4_step`: a right-hand side, an in-place
-  boundary enforcement, and the axpy state algebra.  This formalises the
-  duck-type that the RK4 kernel has always integrated (Yin-Yang panel
-  pairs, single lat-lon states, shallow-water field tuples, scalars in
-  the tests).
+  boundary enforcement, and ``axpy``.  The heat, transport and
+  shallow-water apps and the test suite's scalars implement it; the MHD
+  drivers step with :class:`repro.core.driver.DynamoCore` instead.
 
 * :class:`IntegrableDriver` — the *run-level* interface consumed by
   :class:`repro.engine.integrator.Integrator`: a clock, a one-step

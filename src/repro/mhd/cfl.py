@@ -49,46 +49,71 @@ class SignalSpeeds:
         return self.sound + self.alfven + self.flow
 
 
+def panel_maxima(state: MHDState) -> Array:
+    """The four state extrema a time step depends on, as one array:
+    ``max p/rho``, ``max |v|^2``, ``max |A|^2`` and ``-min rho``.
+
+    ``min rho`` is negated so one elementwise max-reduction combines
+    the maxima of several tiles of a panel; max is association-free, so
+    the combined array is bitwise the whole panel's.
+    """
+    v = state.velocity()
+    return np.array([
+        np.max(state.p / state.rho),
+        np.max(v[0] ** 2 + v[1] ** 2 + v[2] ** 2),
+        np.max(state.ar**2 + state.ath**2 + state.aph**2),
+        -np.min(state.rho),
+    ])
+
+
+def _speeds(maxima: Array, params: MHDParameters) -> SignalSpeeds:
+    """Signal speeds from :func:`panel_maxima`.  Without B the Alfven
+    speed uses the vector potential's magnitude scaled by a conservative
+    shell-gradient bound: a cheap overestimate suitable for step control
+    before B is assembled."""
+    max_pr, max_v2, max_a2, neg_min_rho = maxima
+    bound = np.sqrt(max_a2) * (2.0 * np.pi / (params.ro - params.ri))
+    return SignalSpeeds(
+        sound=float(np.sqrt(params.gamma * max_pr)),
+        alfven=float(bound / np.sqrt(-neg_min_rho)),
+        flow=float(np.sqrt(max_v2)),
+    )
+
+
 def signal_speeds(state: MHDState, params: MHDParameters, b_fields=None) -> SignalSpeeds:
     """Maximum signal speeds over a patch state.
 
-    ``b_fields`` may pass precomputed magnetic components (avoiding a
-    curl); absent, the magnetic contribution uses the vector potential's
-    magnitude scaled by a conservative shell-gradient bound, which is a
-    cheap overestimate suitable for step control before B is assembled.
+    ``b_fields`` may pass precomputed magnetic components, which replace
+    the vector-potential bound of the Alfven speed.
     """
-    rho = state.rho
-    sound = float(np.sqrt(params.gamma * np.max(state.p / rho)))
-    v = state.velocity()
-    flow = float(np.sqrt(np.max(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)))
-    if b_fields is not None:
-        b2 = b_fields[0] ** 2 + b_fields[1] ** 2 + b_fields[2] ** 2
-        alfven = float(np.sqrt(np.max(b2 / rho)))
-    else:
-        a2 = state.ar**2 + state.ath**2 + state.aph**2
-        bound = np.sqrt(np.max(a2)) * (2.0 * np.pi / (params.ro - params.ri))
-        alfven = float(bound / np.sqrt(np.min(rho)))
-    return SignalSpeeds(sound=sound, alfven=alfven, flow=flow)
+    sp = _speeds(panel_maxima(state), params)
+    if b_fields is None:
+        return sp
+    b2 = b_fields[0] ** 2 + b_fields[1] ** 2 + b_fields[2] ** 2
+    alfven = float(np.sqrt(np.max(b2 / state.rho)))
+    return SignalSpeeds(sound=sp.sound, alfven=alfven, flow=sp.flow)
 
 
-def estimate_dt(
-    patches_states: Iterable[tuple[SphericalPatch, MHDState]],
+def dt_from_maxima(
+    patches_maxima: Iterable[tuple[SphericalPatch, Array]],
     params: MHDParameters,
     *,
     cfl: float = 0.3,
-    b_fields=None,
 ) -> float:
-    """Stable explicit time step over one or more (patch, state) pairs.
+    """Stable explicit time step over one or more panels, each given as
+    its patch and its :func:`panel_maxima`.
 
     Combines the advective limit ``cfl * h / c_fast`` with the diffusive
     limit ``cfl * h^2 / (2 d_max)`` where ``d_max`` is the largest
     diffusivity among ``mu/rho_min``, ``kappa/rho_min`` and ``eta``.
+    A serial driver passes its panels' own maxima, a rank the maxima
+    reduced over its panel's tiles: the same formula, the same bits.
     """
     dt = np.inf
-    for patch, state in patches_states:
+    for patch, maxima in patches_maxima:
         h = min(min_cell_widths(patch))
-        sp = signal_speeds(state, params, b_fields=b_fields)
-        rho_min = float(np.min(state.rho))
+        sp = _speeds(maxima, params)
+        rho_min = -float(maxima[3])
         d_max = max(params.mu / rho_min, params.kappa / rho_min, params.eta)
         dt_adv = cfl * h / max(sp.fast, 1e-300)
         dt_diff = cfl * h * h / (2.0 * d_max)
@@ -96,3 +121,16 @@ def estimate_dt(
     if not np.isfinite(dt):
         raise ValueError("could not bound the time step (empty input?)")
     return float(dt)
+
+
+def estimate_dt(
+    patches_states: Iterable[tuple[SphericalPatch, MHDState]],
+    params: MHDParameters,
+    *,
+    cfl: float = 0.3,
+) -> float:
+    """:func:`dt_from_maxima` over (patch, state) pairs."""
+    return dt_from_maxima(
+        ((patch, panel_maxima(state)) for patch, state in patches_states),
+        params, cfl=cfl,
+    )

@@ -17,7 +17,7 @@ RK4 stages, stencil normalisations are folded into precomputed
 metric coefficients (:class:`~repro.fd.kernels.StencilCoefficients`),
 and shared composites (``div v``, ``grad(div v)``, ``B = curl A``,
 ``j = curl B``, the curl/strain products) are evaluated exactly once.
-The **reference** path (``fused=False``) re-derives everything per
+The **reference** path (``backend="numpy"``) re-derives everything per
 operator call, as the seed implementation did.  The two paths evaluate
 the same formulas with harmless floating-point reassociation (folded
 coefficients, shared products), so they agree to a few ULPs — the
@@ -80,16 +80,11 @@ class PanelEquations:
     omega_cart:
         Rotation vector in the *patch-local* Cartesian frame.  Yin /
         lat-lon: ``(0, 0, omega)``; Yang: ``(0, omega, 0)``.
-    fused:
-        Select the derivative-cached, buffer-pooled RHS kernel (default)
-        or the reference per-operator path.  Results are bitwise equal.
     backend:
         Kernel backend (``numpy``/``fused``/``c``); ``None`` reads
         ``REPRO_KERNELS=`` via :func:`repro.fd.backend.select` (unset:
         ``c`` where it can run, else ``fused``) with silent fallback.
-        ``fused=False`` forces the ``numpy`` (reference) backend for
-        backward compatibility; the resolved name is exposed as
-        :attr:`kernel_backend`.
+        The resolved name is exposed as :attr:`kernel_backend`.
     """
 
     def __init__(
@@ -98,7 +93,6 @@ class PanelEquations:
         params: MHDParameters,
         omega_cart: tuple[float, float, float],
         *,
-        fused: bool = True,
         backend: str | None = None,
     ):
         self.patch = patch
@@ -106,8 +100,7 @@ class PanelEquations:
         self.omega_cart = omega_cart
         #: RHS subtracted from every evaluation (see :meth:`subtract_base`)
         self.base_rhs: MHDState | None = None
-        self.kernel_backend = "numpy" if not fused else kernel_backend.select(backend)
-        self.fused = fused and self.kernel_backend != "numpy"
+        self.kernel_backend = kernel_backend.select(backend)
         self.ops = SphericalOperators(patch)
         self.pool = BufferPool()
         self.cache = DerivativeCache(pool=self.pool)
@@ -179,17 +172,25 @@ class PanelEquations:
         stencils and are meaningless; the drivers overwrite them with
         boundary-condition data after every stage.
 
-        ``out`` offers storage for the result; it must not share memory
-        with ``state``.  The compiled backend writes into it, the NumPy
-        paths ignore it and return fresh arrays — use the returned
-        state either way.
+        The result is written into ``out``, which must not share memory
+        with ``state``, and returned; ``out=None`` allocates it here.
+        Every backend gives the same bits either way: the fused path
+        stores with ``out=`` ufuncs, the reference path copies its fresh
+        result once.  (The compiled sweep declines storage it cannot
+        write, e.g. a strided view, and returns a fresh state instead.)
         """
         if self.kernel_backend == "c":
             return self.rhs_c(state, out)
-        k = self.rhs_fused(state) if self.fused else self.rhs_reference(state)
+        if out is None:
+            out = MHDState.zeros(state.shape)
+        if self.kernel_backend == "fused":
+            self.rhs_fused(state, out)
+        else:
+            for o, x in zip(out.arrays(), self.rhs_reference(state).arrays()):
+                np.copyto(o, x)
         if self.base_rhs is not None:
-            k.iadd_scaled(-1.0, self.base_rhs)
-        return k
+            out.iadd_scaled(-1.0, self.base_rhs)
+        return out
 
     def rhs_c(self, state: MHDState, out: MHDState | None = None) -> MHDState:
         """The compiled six-sweep kernel (:mod:`repro.fd.ckernels.rhs`).
@@ -208,7 +209,7 @@ class PanelEquations:
                 self._cctx = CPanelContext(self)
             except Exception:
                 self.kernel_backend = "fused"
-                return self.rhs(state)
+                return self.rhs(state, out)
         return self._cctx.rhs(state, out, self.base_rhs)
 
     def rhs_reference(self, state: MHDState) -> MHDState:
@@ -268,8 +269,9 @@ class PanelEquations:
         )
 
     @hot_path
-    def rhs_fused(self, state: MHDState) -> MHDState:
-        """The hand-fused kernel: each unit of work exactly once.
+    def rhs_fused(self, state: MHDState, out: MHDState) -> MHDState:
+        """The hand-fused kernel: each unit of work exactly once; the
+        eight derivatives are stored into ``out``, which is returned.
 
         This is the NumPy rendition of the paper's List-1 discipline:
 
@@ -286,7 +288,8 @@ class PanelEquations:
           strain trace) feeds the momentum flux, the pressure equation
           and ``grad(div v)``; the nine curl/strain velocity products
           are computed once;
-        * accumulation is in-place (``+=`` into fresh intermediates), so
+        * accumulation is in-place (``+=`` into fresh intermediates, and
+          each derivative is accumulated in its ``out`` array), so
           assembled terms never pay an extra copy pass.
 
         The reassociations involved (coefficient folding, shared
@@ -319,8 +322,8 @@ class PanelEquations:
             # and advect p — are read non-destructively by the first and
             # owned by the second.  State fields, metric arrays and
             # anything still needed later go through the scratch-buffer
-            # madd/msub instead.  Arrays returned in the MHDState are
-            # always fresh allocations, never pool-owned buffers.
+            # madd/msub instead.  The eight derivatives accumulate in
+            # ``out``'s arrays, never in pool-owned buffers.
             def madd(acc, x, y):
                 np.multiply(x, y, out=scratch)
                 acc += scratch
@@ -343,7 +346,7 @@ class PanelEquations:
             # eq. (2): mass continuity, d rho/dt = -div f.  The raw
             # numerators of f's derivatives are read here and owned by
             # the advection term of eq. (3) below.
-            drho = d1(fr, R) * (-C.sr)
+            drho = np.multiply(d1(fr, R), -C.sr, out=out.rho)
             msub(drho, m.two_inv_r, fr)
             msub(drho, C.grad_th, d1(fth, T))
             msub(drho, m.inv_r_cot, fth)
@@ -438,19 +441,19 @@ class PanelEquations:
             u0 = v0 * (-C.sr)
             u1 = ivt * (-C.st)
             u2 = v2 * (-C.grad_ph)
-            naf0 = u0 * d1(fr, R)
+            naf0 = np.multiply(u0, d1(fr, R), out=out.fr)
             naf0 += sc(d1(fr, T), u1)
             naf0 += sc(d1(fr, P), u2)
             madd(naf0, ivt, fth)
             madd(naf0, ivp, fph)
             msub(naf0, divv, fr)
-            naf1 = u0 * d1(fth, R)
+            naf1 = np.multiply(u0, d1(fth, R), out=out.fth)
             naf1 += sc(d1(fth, T), u1)
             naf1 += sc(d1(fth, P), u2)
             msub(naf1, ivt, fr)
             madd(naf1, ict_vp, fph)
             msub(naf1, divv, fth)
-            naf2 = u0 * d1(fph, R)
+            naf2 = np.multiply(u0, d1(fph, R), out=out.fph)
             naf2 += sc(d1(fph, T), u1)
             naf2 += sc(d1(fph, P), u2)
             msub(naf2, ivp, fr)
@@ -501,9 +504,9 @@ class PanelEquations:
             df2 -= cc2
 
             # eq. (4): pressure.  Scalar Laplacian of T = p/rho in the
-            # expanded metric form, folded coefficients; lap_t is a
-            # fresh allocation (it becomes the returned dp).
-            lap_t = d2(temp, R) * C.qr
+            # expanded metric form, folded coefficients; dp accumulates
+            # in lap_t, which is out.p.
+            lap_t = np.multiply(d2(temp, R), C.qr, out=out.p)
             lap_t += sc(d1(temp, R), C.lap_r1)
             lap_t += sc(d2(temp, T), C.lap_th2)
             lap_t += sc(d1(temp, T), C.lap_th1)
@@ -537,27 +540,21 @@ class PanelEquations:
             scratch *= prm.gamma
             lap_t -= scratch
             lap_t += nadvp
-            dp = lap_t
 
             # eq. (5): induction, dA/dt = -E = v x B - eta j.  j is dead
             # after j2 above, so the eta scaling runs in place.
             eta = prm.eta
-            da0 = v1 * bp
+            da0 = np.multiply(v1, bp, out=out.ar)
             msub(da0, v2, bt)
             da0 -= sc(jr, eta)
-            da1 = v2 * br
+            da1 = np.multiply(v2, br, out=out.ath)
             msub(da1, v0, bp)
             da1 -= sc(jt, eta)
-            da2 = v0 * bt
+            da2 = np.multiply(v0, bt, out=out.aph)
             msub(da2, v1, br)
             da2 -= sc(jp, eta)
 
-            return MHDState(
-                rho=drho,
-                fr=df0, fth=df1, fph=df2,
-                p=dp,
-                ar=da0, ath=da1, aph=da2,
-            )
+            return out
         finally:
             self.pool.give(scratch)
             cache.reset()

@@ -110,7 +110,7 @@ class MHDState:
                   kernels=None) -> MHDState:
         """``self + a * other`` written into ``out``'s arrays; returns ``out``.
 
-        Lets the RK4 stepper recycle dead stage states instead of
+        Lets the drivers' RK4 stages recycle dead stage states instead of
         allocating eight fresh fields per stage.  ``out`` may not alias
         ``self`` or ``other``.
         """
@@ -128,8 +128,7 @@ class MHDState:
         One scratch buffer is hoisted out of the field loop and reused
         for all eight products (``a * y`` in the loop body would
         allocate a full-size temporary per field per call).  NumPy
-        only: a driver with compiled kernels accumulates through
-        :meth:`rk4_combine_into` instead.
+        only; the drivers' final RK4 combine is :meth:`rk4_combine_into`.
         """
         scratch = np.empty_like(self.rho)  # repro: noqa-REP001 — hoisted, reused 8x
         for x, y in zip(self.arrays(), other.arrays()):

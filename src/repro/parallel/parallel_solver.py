@@ -28,17 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import RunConfig
-from repro.core.guard import HealthReport, assert_healthy
-from repro.engine import CadenceController, IntegrationResult, Integrator
+from repro.core.driver import DynamoCore
+from repro.core.yycore import PANELS, enforced_pair
+from repro.engine import IntegrationResult
 from repro.engine.observers import StepObserver, TimerObserver
-from repro.fd import backend as kernel_backend
 from repro.grids.component import Panel
 from repro.grids.yinyang import YinYangGrid
 from repro.mhd.boundary import WallBC
-from repro.mhd.cfl import min_cell_widths
+from repro.mhd.cfl import panel_maxima
 from repro.mhd.equations import PanelEquations
-from repro.mhd.initial import conduction_state, perturb_state
-from repro.mhd.rk4 import rk4_step
 from repro.mhd.state import FIELD_NAMES, MHDState
 from repro.parallel.cart import create_cart
 from repro.parallel.decomposition import PanelDecomposition
@@ -54,7 +52,7 @@ def _restrict(global_field: Array, sl: tuple[slice, slice]) -> Array:
     return np.ascontiguousarray(global_field[:, sl[0], sl[1]])
 
 
-class ParallelYinYangDynamo:
+class ParallelYinYangDynamo(DynamoCore):
     """One rank's view of the parallel dynamo.
 
     Construct inside a SimMPI program (any backend); ``world.size``
@@ -98,83 +96,35 @@ class ParallelYinYangDynamo:
         )
         omega = c.params.omega
         omega_cart = (0.0, 0.0, omega) if self.panel is Panel.YIN else (0.0, omega, 0.0)
-        # one kernel backend for the rank's life (REPRO_KERNELS read once)
-        backend = kernel_backend.select()
-        #: compiled elementwise kernels for the state algebra, or None
-        self.kernels = kernel_backend.compiled_module(backend)
+        self.patches = (self.local_patch,)
         self.equations = PanelEquations(self.local_patch, c.params, omega_cart,
-                                        backend=backend)
+                                        backend=self._select_kernels())
         self.wall_bc = WallBC(c.params, magnetic=c.magnetic_bc)
         self.halo = HaloExchanger(self.cart, self.sub)
         self.overset = OversetExchanger(
             self.grid, self.decomp, world, self.panel_index,
             self.panel_comm.rank,
         )
-
-        self.time = 0.0
-        self.step_count = 0
-        self._last_dt = float("nan")
         #: wall seconds per step phase; every ``enforce`` books ``comm``
         self.phase_seconds = {"comm": 0.0}
 
+        # the serial driver's global pairs, restricted to this tile
         if c.subtract_base_rhs:
-            self.equations.subtract_base(
-                self._restrict_state(self._serial_enforced_conduction())
-            )
-        #: recycled storage for a step's four stage derivatives (see
-        #: :class:`~repro.core.yycore.YinYangDynamo`)
-        self._ks = (None, None, None, None)
-        if self.kernels is not None:
-            self._ks = tuple(
-                MHDState.zeros(self.local_patch.shape) for _ in range(4)
-            )
-        self.state = self._initial_state()
-
-    # ---- state setup -----------------------------------------------------------
-
-    def _serial_enforced_conduction(self) -> dict[Panel, MHDState]:
-        """The serial driver's enforced conduction pair (global arrays)."""
-        pair = {
-            p: conduction_state(self.grid.panel(p), self.config.params)
-            for p in (Panel.YIN, Panel.YANG)
-        }
-        self._serial_enforce(pair)
-        return pair
-
-    def _serial_enforce(self, pair: dict[Panel, MHDState]) -> None:
-        yin, yang = pair[Panel.YIN], pair[Panel.YANG]
-        self.grid.apply_overset_scalar(yin.rho, yang.rho)
-        self.grid.apply_overset_scalar(yin.p, yang.p)
-        self.grid.apply_overset_vector(yin.f, yang.f)
-        self.grid.apply_overset_vector(yin.a, yang.a)
-        self.wall_bc.apply(yin)
-        self.wall_bc.apply(yang)
+            self.equations.subtract_base(self._restrict_state(
+                enforced_pair(self.grid, c, self.wall_bc, perturb=False)))
+        self._start(self._restrict_state(
+            enforced_pair(self.grid, c, self.wall_bc, perturb=True)))
 
     def _restrict_state(self, pair: dict[Panel, MHDState]) -> MHDState:
         sl = self.sub.local_extent_global()
         g = pair[self.panel]
         return MHDState(*(_restrict(arr, sl) for arr in g.arrays()))
 
-    def _initial_state(self) -> MHDState:
-        """Replicate the serial initial state deterministically, restrict."""
-        c = self.config
-        pair: dict[Panel, MHDState] = {}
-        for k, p in enumerate((Panel.YIN, Panel.YANG)):
-            s = conduction_state(self.grid.panel(p), c.params)
-            rng = np.random.default_rng(c.seed + k)
-            perturb_state(
-                s, amp_temperature=c.amp_temperature,
-                amp_seed_field=c.amp_seed_field, rng=rng,
-            )
-            pair[p] = s
-        self._serial_enforce(pair)
-        return self._restrict_state(pair)
-
-    # ---- TimeDependentSystem interface -------------------------------------------
+    # ---- the geometry the driver core steps --------------------------------------
 
     def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
-        """The tile's derivative (base RHS subtracted by the equations);
-        the caller's own — fresh, or written into offered ``out``."""
+        """The tile's derivative (base RHS subtracted by the equations),
+        written into ``out`` (allocated when None)."""
         return self.equations.rhs(state, out=out)
 
     def enforce(self, state: MHDState) -> None:
@@ -189,73 +139,18 @@ class ParallelYinYangDynamo:
         self.wall_bc.apply(state)
         self.phase_seconds["comm"] += _time.perf_counter() - t0
 
-    @staticmethod
-    def axpy(state: MHDState, a: float, k: MHDState) -> MHDState:
-        return state.axpy(a, k)
+    def _cfl_maxima(self):
+        """Both panels' maxima, bitwise the serial driver's: every rank's
+        tile maxima are allgathered over the world and combined per
+        panel (max is association-free)."""
+        tiles = self.world.allgather(panel_maxima(self.state))
+        n = self.decomp.nranks
+        return [
+            (self.grid.panel(p), np.maximum.reduce(tiles[i * n:(i + 1) * n]))
+            for i, p in enumerate(PANELS)
+        ]
 
-    def axpy_into(self, state: MHDState, a: float, k: MHDState,
-                  out: MHDState) -> MHDState:
-        """``state + a*k`` written over the dead stage state ``out``."""
-        return state.axpy_into(a, k, out, self.kernels)
-
-    @property
-    def rk4_combine(self):
-        """:func:`rk4_step`'s one-call final combine, with compiled
-        kernels only (see :class:`~repro.core.yycore.YinYangDynamo`)."""
-        return self._rk4_combine if self.kernels is not None else None
-
-    def _rk4_combine(self, state: MHDState, weights, ks, out: MHDState) -> MHDState:
-        """The final RK4 combine over the dead stage state ``out``."""
-        return state.rk4_combine_into(weights, ks, out, self.kernels)
-
-    # ---- stepping ----------------------------------------------------------------
-
-    def estimate_dt(self) -> float:
-        """CFL estimate bit-matching the serial driver's.
-
-        The serial code computes per-panel maxima over whole-panel arrays
-        and takes the min over panels; max/min reductions are
-        association-free, so distributed panel reductions reproduce the
-        serial floats exactly.
-        """
-        c = self.config.params
-        s = self.state
-        v = s.velocity()
-        local = np.array([
-            float(np.max(s.p / s.rho)),
-            float(np.max(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)),
-            float(np.max(s.ar**2 + s.ath**2 + s.aph**2)),
-            -float(np.min(s.rho)),  # negated so one max-reduce serves all
-        ])
-        panel_max = self.panel_comm.allreduce(local, op=np.maximum)
-        max_pr, max_v2, max_a2, neg_min_rho = panel_max
-        rho_min = -neg_min_rho
-        sound = float(np.sqrt(c.gamma * max_pr))
-        flow = float(np.sqrt(max_v2))
-        alfven = float(
-            np.sqrt(max_a2) * (2.0 * np.pi / (c.ro - c.ri)) / np.sqrt(rho_min)
-        )
-        h = min(min_cell_widths(self.grid.panel(self.panel)))
-        d_max = max(c.mu / rho_min, c.kappa / rho_min, c.eta)
-        cfl = self.config.cfl
-        dt_panel = min(np.inf, cfl * h / max(sound + alfven + flow, 1e-300),
-                       cfl * h * h / (2.0 * d_max))
-        return float(self.world.allreduce(dt_panel, op=min))
-
-    def step(self, dt: float | None = None) -> float:
-        if dt is None:
-            dt = self.config.dt or self.estimate_dt()
-        self.state = rk4_step(self, self.state, dt, self._ks)
-        self.time += dt
-        self.step_count += 1
-        self._last_dt = dt
-        c = self.config
-        if c.filter_strength > 0.0 and self.step_count % c.filter_every == 0:
-            self._filter_local(self.state, c.filter_strength)
-            self.enforce(self.state)
-        return dt
-
-    def _filter_local(self, state: MHDState, strength: float) -> None:
+    def _filter(self, state: MHDState, strength: float) -> None:
         """The Shapiro filter on this rank's owned interior points.
 
         Reproduces the serial filter bitwise: the increment is evaluated
@@ -284,10 +179,6 @@ class ParallelYinYangDynamo:
             ) / 6.0
             f[1:-1, lt, lp] += strength * inc
 
-    def advance(self, dt: float) -> float:
-        """:class:`~repro.engine.system.IntegrableDriver` hook."""
-        return self.step(dt)
-
     def run(self, n_steps: int, *, observers=()) -> IntegrationResult:
         """Advance ``n_steps`` steps through the shared engine.
 
@@ -296,19 +187,9 @@ class ParallelYinYangDynamo:
         ranks, so the engine preserves the bitwise serial equivalence
         (same reduction association, same enforce ordering).
         """
-        controller = CadenceController.from_config(self.config, n_steps)
-        return Integrator(self, controller, observers).run()
+        return self._integrate(n_steps, observers)
 
-    # ---- engine capabilities (guard / checkpoint) -------------------------------
-
-    def check_health(self, *, step: int | None = None,
-                     max_grid_reynolds: float = 20.0) -> HealthReport:
-        """Guard hook on this rank's tile.  A divergence raises inside
-        the rank thread and SimMPI re-raises it in the launcher."""
-        return assert_healthy(
-            self.local_patch, self.state, self.config.params,
-            step=step, max_grid_reynolds=max_grid_reynolds,
-        )
+    # ---- per-rank checkpoints ----------------------------------------------------
 
     def _rank_path(self, path) -> Path:
         path = Path(path)

@@ -221,6 +221,12 @@ class _ProcRuntime(RankRuntime):
     def _post_stuck(self, op: dict | None) -> None:
         self.records.put(("stuck", self.world_rank, op))
 
+    def _discard(self, desc: _Desc) -> None:
+        """An unreceived message gives its arena slots back."""
+        if desc.kind == _KIND_SLOTS:
+            for s in desc.meta[0]:
+                self.free_q.put(s)
+
     def close(self) -> None:
         super().close()
         # a stray view can pin the mmap; leak it quietly in that case

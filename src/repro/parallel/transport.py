@@ -10,10 +10,12 @@ here:
   timeout diagnosis (a STUCK notice to the launcher plus this rank's
   view), and the collective rendezvous (gather-to-root + rebroadcast on
   a private control channel, with root-only ``gather`` / one-to-all
-  ``bcast``).  A backend supplies ``send``, ``_fetch`` (the next message
-  descriptor within ``remaining`` seconds), ``_materialise`` and
-  ``_post_stuck``, plus ``isolate`` where collective payloads would
-  otherwise be shared.
+  ``bcast``), and the closing barrier that names every message no
+  receive matched (:meth:`RankRuntime.close_world`).  A backend supplies
+  ``send``, ``_fetch`` (the next message descriptor within ``remaining``
+  seconds), ``_materialise`` and ``_post_stuck``, plus ``isolate`` where
+  collective payloads would otherwise be shared and ``_discard`` where
+  a message holds resources until it is received.
 * The launcher skeleton — :data:`SPAWN` (the one ``multiprocessing``
   context), :func:`serve_rank` on the rank side, and on the launcher
   side :func:`collect` (one loop over one record queue for results,
@@ -35,6 +37,7 @@ backends.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import multiprocessing
 import pickle
@@ -61,6 +64,7 @@ from repro.parallel.simmpi import (
 )
 
 __all__ = [
+    "CLOSE_CHANNEL",
     "COLL_CHANNEL",
     "RankRuntime",
     "SPAWN",
@@ -77,6 +81,9 @@ __all__ = [
 #: messages; its channel key is the comm id plus this suffix, so
 #: collective tags (sequence numbers) can never collide with user tags.
 COLL_CHANNEL = "\x00coll"
+
+#: Channel of the closing barrier's markers (:meth:`RankRuntime.close_world`).
+CLOSE_CHANNEL = "\x00close"
 
 #: Rank processes start fresh interpreters: fork is unsafe with threads
 #: in the parent, and the rank function travels by pickle either way.
@@ -103,7 +110,8 @@ class RankRuntime:
         tell the launcher which op this rank is blocked in.
 
     A wire that shares memory between ranks also overrides
-    :meth:`isolate`.
+    :meth:`isolate`; one whose messages hold resources until received
+    overrides :meth:`_discard`.
     """
 
     def __init__(self, world_rank: int, nprocs: int, timeout: float):
@@ -243,6 +251,47 @@ class RankRuntime:
         """A wire that copies or serialises needs no eager copy."""
         return data
 
+    def _discard(self, desc: Any) -> None:
+        """Drop a message nobody will receive; nothing to give back."""
+
+    def close_world(self) -> None:
+        """The closing barrier of a rank whose function returned: name
+        every message sent to this rank that no receive matched.
+
+        Every rank sends a marker to every rank, itself included, and
+        waits for all of them.  Each wire delivers one sender's messages
+        to one receiver in order, so once a rank holds every marker, all
+        messages sent to it sit in ``pending`` (a barrier relayed through
+        a root gives no such order across senders on the process wire).
+        Each unmatched message is discarded, which returns its arena
+        slots on the process wire, and :class:`ProtocolViolation` names
+        its ``chan``, ``source`` and ``tag``.
+        """
+        members = tuple(range(self.nprocs))
+        for r in members:
+            self.send(r, CLOSE_CHANNEL, self.world_rank, 0, None, True)
+        self.wfg_enter(PendingOp(
+            rank=self.world_rank, kind="collective", comm="world", seq=-1,
+            members=members, detail="close",
+        ))
+        try:
+            for _ in members:
+                self.recv(CLOSE_CHANNEL, ANY_SOURCE, 0)
+        finally:
+            self.wfg_exit()
+        stray, self.pending = self.pending, []
+        for d in stray:
+            self._discard(d)
+        if stray:
+            kinds = collections.Counter((d.chan, d.source, d.tag) for d in stray)
+            raise ProtocolViolation(
+                f"rank {self.world_rank}: {len(stray)} message(s) never "
+                "received: " + "; ".join(
+                    f"chan={chan!r} source={source} tag={tag}"
+                    + (f" (x{n})" if n > 1 else "")
+                    for (chan, source, tag), n in kinds.items())
+            )
+
     def close(self) -> None:
         self.pending.clear()
 
@@ -308,15 +357,18 @@ def unpack_outcome(status: str, rank: int, packed: tuple[str, Any]) -> Any:
 
 def serve_rank(runtime: RankRuntime, fn: Callable[..., Any], args: tuple,
                kwargs: dict, report: Callable[[str, Any], None]) -> Any:
-    """Run ``fn`` on this rank's world communicator and ``report`` the
-    outcome (``"ok"`` plus the value, or ``"err"`` plus the exception).
-    Returns the value; re-raises the rank's exception after reporting."""
+    """Run ``fn`` on this rank's world communicator, close the world
+    after a normal return (:meth:`RankRuntime.close_world`), and
+    ``report`` the outcome (``"ok"`` plus the value, or ``"err"`` plus
+    the exception).  Returns the value; re-raises the rank's exception
+    after reporting."""
     try:
         comm = Communicator(runtime, "world", list(range(runtime.nprocs)),
                             runtime.world_rank)
         value = fn(comm, *args, **kwargs)
         if runtime.recorder is not None:
             verify_protocol(comm, runtime.recorder)
+        runtime.close_world()
     except BaseException as exc:  # noqa: BLE001 - reported to the launcher
         with contextlib.suppress(OSError):
             report("err", exc)

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: array helpers, timing, validation."""
+"""Shared low-level utilities: array helpers, validation."""
 
 from repro.utils.arrays import (
     as_float_array,
@@ -6,7 +6,6 @@ from repro.utils.arrays import (
     ghost_interior,
     pad_ghost,
 )
-from repro.utils.timer import Timer, TimerRegistry
 from repro.utils.validation import (
     check_in_range,
     check_positive,
@@ -19,8 +18,6 @@ __all__ = [
     "assert_shape",
     "ghost_interior",
     "pad_ghost",
-    "Timer",
-    "TimerRegistry",
     "check_in_range",
     "check_positive",
     "check_odd",

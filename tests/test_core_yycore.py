@@ -98,14 +98,6 @@ class TestPhysics:
         assert t.shape == ke.shape == me.shape == (4,)
         assert np.all(np.diff(t) > 0)
 
-    def test_timers_populated(self, params):
-        dyn = make(params)
-        dyn.run(2, record_every=0)
-        totals = dyn.timers.totals()
-        assert totals["rhs"] > 0.0
-        assert totals["overset"] > 0.0
-        assert totals["wall_bc"] > 0.0
-
 
 class TestBoundaryEnforcement:
     def test_walls_hold_after_steps(self, params):

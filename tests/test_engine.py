@@ -261,25 +261,11 @@ class TestTimerObserver:
         dyn = YinYangDynamo(
             RunConfig(nr=7, nth=12, nph=36, params=params, dt=1e-3)
         )
-        dyn.run(3, record_every=0, observers=[TimerObserver()])
-        step_timer = dyn.timers.timer("step")
-        assert step_timer.count == 3
-        assert step_timer.total > 0.0
-
-    def test_comm_trace_deltas(self):
-        class FakeTrace:
-            n_messages = 4
-            total_bytes = 1024
-
-        trace = FakeTrace()
-        obs = TimerObserver(comm_trace=trace)
-        d = DecayDriver()
-        Integrator(d, CadenceController(2, dt=0.1), [obs]).run()
-        trace.n_messages = 10
-        trace.total_bytes = 5000
-        obs.on_finish(d)
-        assert obs.comm_messages == 6
-        assert obs.comm_bytes == 5000 - 1024
+        timer = TimerObserver()
+        dyn.run(3, record_every=0, observers=[timer])
+        assert timer.steps_timed == 3
+        assert timer.total_seconds > 0.0
+        assert timer.comm_seconds == 0.0  # a serial driver books no comm
 
 
 class TestAppsOnEngine:

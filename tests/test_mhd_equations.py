@@ -210,8 +210,8 @@ class TestFusedMatchesReference:
         from repro.mhd.state import FIELD_NAMES
 
         patch, params, omega = self._build(kind)
-        fused = PanelEquations(patch, params, omega, fused=True)
-        reference = PanelEquations(patch, params, omega, fused=False)
+        fused = PanelEquations(patch, params, omega, backend="fused")
+        reference = PanelEquations(patch, params, omega, backend="numpy")
         state = self._random_state(patch.shape, seed)
         # two fused evaluations: the second exercises the steady-state
         # buffer-pool path (recycled, not freshly zeroed, memory)
@@ -224,14 +224,45 @@ class TestFusedMatchesReference:
 
     def test_fused_flag_selects_path(self):
         patch, params, omega = self._build("yin")
-        eq = PanelEquations(patch, params, omega)
-        assert eq.fused  # the cached kernel is the default
+        eq = PanelEquations(patch, params, omega, backend="fused")
+        assert eq.kernel_backend == "fused"
         state = self._random_state(patch.shape, 7)
         via_flag = eq.rhs(state)
-        direct = eq.rhs_fused(state)
+        direct = eq.rhs_fused(state, MHDState.zeros(patch.shape))
         from repro.mhd.state import FIELD_NAMES
 
         for name in FIELD_NAMES:
             np.testing.assert_array_equal(
                 getattr(via_flag, name), getattr(direct, name)
             )
+
+
+@pytest.mark.parametrize("with_base", [False, True], ids=["plain", "base"])
+@pytest.mark.parametrize("backend", ["numpy", "fused", "c"])
+def test_rhs_writes_into_out(backend, with_base):
+    """The one ``out`` contract on every backend: ``rhs(state, out=store)``
+    returns ``store``, overwrites all of it, leaves ``state`` untouched
+    and is bit-for-bit ``rhs(state)`` — with and without a base RHS."""
+    from repro.fd import backend as kernel_backend
+    from repro.grids.yinyang import YinYangGrid
+
+    if not kernel_backend.probe(backend).available:
+        pytest.skip(f"{backend} kernel backend unavailable")
+    params = MHDParameters.laptop_demo()
+    patch = YinYangGrid(7, 10, 17, ri=params.ri, ro=params.ro).yang
+    eq = PanelEquations(patch, params, (0.0, params.omega, 0.0), backend=backend)
+    assert eq.kernel_backend == backend
+    base = conduction_state(patch, params)
+    if with_base:
+        eq.subtract_base(base)
+    rng = np.random.default_rng(5)
+    state = MHDState(*(x + 0.05 * rng.standard_normal(x.shape) for x in base.arrays()))
+    before = state.copy()
+    store = MHDState(*(np.full(patch.shape, np.nan) for _ in range(8)))
+
+    got = eq.rhs(state, out=store)
+    fresh = eq.rhs(state)
+    assert got is store and fresh is not store
+    for g, f, s, b in zip(got.arrays(), fresh.arrays(), state.arrays(), before.arrays()):
+        np.testing.assert_array_equal(g.view(np.uint64), f.view(np.uint64))
+        np.testing.assert_array_equal(s.view(np.uint64), b.view(np.uint64))

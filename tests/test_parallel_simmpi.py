@@ -383,6 +383,12 @@ def _killed_prog(comm):
     comm.Recv(source=1, tag=0)  # rank 1 is gone: never sent
 
 
+def _unreceived_prog(comm):
+    if comm.rank == 0:
+        comm.Send(np.arange(3.0), dest=1, tag=7)  # nobody receives it
+    return comm.rank
+
+
 def _failing_prog(comm):
     if comm.rank == 0:
         raise ValueError("rank 0 gave up")
@@ -429,6 +435,18 @@ class TestFaultMatrix:
         assert time.monotonic() - t0 < 5.0
         assert not [t for t in threading.enumerate()
                     if t not in before and t.name.startswith("simmpi-rank-")]
+
+    @pytest.mark.parametrize("backend", ["thread", "process", "socket"])
+    def test_unreceived_message_is_named(self, backend):
+        """A message no receive matches fails the world at its close,
+        naming its channel, source and tag; the process wire gets its
+        arena slots back and leaves no segment behind."""
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        with pytest.raises(ProtocolViolation,
+                           match=r"rank 1: 1 message\(s\) never received: "
+                                 r"chan='world' source=0 tag=7"):
+            get_backend(backend).run(2, _unreceived_prog, timeout=60.0)
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
 
     def test_thread_ranks_get_their_own_objects(self):
         """Thread-rank outcomes are not pickled: an unpicklable return

@@ -147,6 +147,9 @@ def _contract_program(world, config, steps):
     hooks = {
         "enforce": solver.enforce,
         "rhs": solver.rhs,
+        "axpy": solver.axpy,
+        "axpy_into": solver.axpy_into,
+        "gather_state": solver.gather_state,
         "overset.exchange_state": solver.overset.exchange_state,
         "halo.exchange": solver.halo.exchange,
         "wall_bc.apply": solver.wall_bc.apply,
@@ -231,11 +234,63 @@ class TestBenchmarkContract:
             2, _launcher_contract_program, 10.0, timeout=120.0,
         ) == expected
 
+    def test_e2e_serial_driver_contract(self, config, tmp_path):
+        """``benchmarks/e2e/workloads.py`` is frozen and uses these
+        ``YinYangDynamo`` attributes (``instrument_serial``,
+        ``run_serial``, ``measure_restart``, ``overset_points``).  Its
+        spans wrap the stage hooks on the instance, so the step must
+        call them through the instance.  Renaming or dropping any of
+        them fails the benchmark run."""
+        dyn = YinYangDynamo(config)
+        calls: dict[str, int] = {}
+
+        def count(obj, name):
+            fn = getattr(obj, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            object.__setattr__(obj, name, counted)
+
+        for name in ("step", "rhs", "enforce", "axpy", "axpy_into",
+                     "iadd_scaled", "estimate_dt", "energies",
+                     "check_health", "save_checkpoint"):
+            count(dyn, name)
+        for eq in dyn.equations.values():
+            count(eq, "rhs")
+        count(dyn.grid, "apply_overset_scalar")
+        count(dyn.grid, "apply_overset_vector")
+        count(dyn.wall_bc, "apply")
+        assert dyn.run(1, record_every=0) == []
+        assert calls == {"step": 1, "rhs": 4 + 2 * 4, "enforce": 5,
+                         "axpy": 1, "axpy_into": 2,
+                         "apply_overset_scalar": 2 * 5,
+                         "apply_overset_vector": 2 * 5, "apply": 2 * 5}
+        pair = dyn.state
+        k = dyn.rhs(pair)
+        assert set(k) == set(pair) == {Panel.YIN, Panel.YANG}
+        y = dyn.iadd_scaled(dyn.axpy(pair, 0.5, k), 0.5, k)
+        assert dyn.axpy_into(pair, 1.0, k, dyn.axpy(pair, 0.0, k)) is not y
+        assert dyn.estimate_dt() > 0.0
+        assert dyn.energies().kinetic >= 0.0
+        assert dyn.check_health(step=dyn.step_count) is not None
+        for eq in dyn.equations.values():
+            assert {"reused", "allocated"} <= set(eq.pool.stats())
+            assert eq.kernel_backend in ("numpy", "fused", "c")
+        assert dyn.grid.to_yin.n_ring > 0 and dyn.grid.to_yang.n_ring > 0
+        archive = dyn.save_checkpoint(tmp_path / "final.npz")
+        restarted = YinYangDynamo(config)
+        restarted.restore_checkpoint(archive)
+        assert restarted.step_count == dyn.step_count == 1
+        assert_bitwise_equal(restarted.state, dyn.state)
+
     def test_e2e_benchmark_contract(self, config):
         """``benchmarks/e2e/workloads.py`` is frozen and reads these
         solver attributes: ``overlap`` for its run metadata,
-        ``phase_seconds["comm"]`` for ``parallel.comm_frac``, and it
-        wraps the six hooks below on the instance for its spans.
+        ``phase_seconds["comm"]`` for ``parallel.comm_frac`` and
+        ``gather_state`` for its digest, and it wraps the other hooks
+        below on the instance for its spans.
         Renaming or dropping any of them fails the benchmark run."""
         from repro.parallel.backends import get_backend
         from repro.parallel.parallel_solver import ParallelYinYangDynamo

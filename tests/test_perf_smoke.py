@@ -34,7 +34,7 @@ def case():
     # the fused NumPy kernel explicitly: its cache and pool are what
     # these tests count, whatever the default backend resolves to
     fused = PanelEquations(patch, params, omega, backend="fused")
-    reference = PanelEquations(patch, params, omega, fused=False)
+    reference = PanelEquations(patch, params, omega, backend="numpy")
     return state, fused, reference
 
 
