@@ -9,7 +9,8 @@ for :class:`~repro.core.yycore.YinYangDynamo`,
 
 A driver supplies only its geometry:
 
-* ``rhs(state, out)`` and ``enforce(state)``;
+* ``equations`` (one :class:`~repro.mhd.equations.PanelEquations`, or
+  one per panel key) and ``enforce(state)``;
 * :attr:`DynamoCore.panels`, the keys of the panel states its state
   maps (``None``: the state is one :class:`~repro.mhd.state.MHDState`),
   and ``patches``, the grid patch of each;
@@ -18,14 +19,25 @@ A driver supplies only its geometry:
 * ``_filter(panel_state, strength)`` when its filter body is not the
   serial Shapiro filter.
 
-The core owns the rest: the kernel backend (resolved once), the storage
-of the four stage derivatives, the stage algebra, the RK4 stage
-sequence, ``step`` with the filter cadence, ``advance``, ``run`` and
-``record``, and the guard and checkpoint hooks all drivers share.
+The core owns the rest: the kernel backend (resolved once), ``rhs``,
+the storage of the four stage derivatives, the stage algebra, the RK4
+stage sequence, ``step`` with the filter cadence, ``advance``, ``run``
+and ``record``, and the guard and checkpoint hooks all drivers share.
+
+The paper's first level of parallelism is the Yin/Yang split: no sweep
+crosses panels, and each panel owns its equations' buffers.  On a host
+with two usable cores ``rhs`` therefore runs Yin's derivative on the
+caller's thread while a helper thread runs Yang's; the coupling
+``enforce`` and the streamed stage algebra stay on the caller's
+thread.  Every bit is the same as running the panels one after the
+other.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +47,67 @@ from repro.fd import backend as kernel_backend
 from repro.mhd.cfl import dt_from_maxima, panel_maxima
 from repro.mhd.diagnostics import EnergyReport
 from repro.mhd.state import MHDState
+
+
+#: Cores this process may run on; with fewer than two, ``rhs`` takes
+#: every panel's derivative on the caller's thread.
+try:
+    _USABLE_CORES = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity API on this platform
+    _USABLE_CORES = os.cpu_count() or 1
+
+
+class _Helper:
+    """One daemon thread that runs submitted calls in order.
+
+    Every RK4 stage forks and joins it once, so the handoff is a pair
+    of ``SimpleQueue`` operations: ≈17 µs on the 2-core container,
+    against ≈72 µs for a ``ThreadPoolExecutor`` future."""
+
+    def __init__(self):
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="repro-panel", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._run(*self._calls.get())
+
+    @staticmethod
+    def _run(fn, args, done) -> None:
+        # a call of its own, so the thread holds no state between calls
+        try:
+            done.put((True, fn(*args)))
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+            done.put((False, exc))
+
+    def submit(self, fn, *args) -> queue.SimpleQueue:
+        """Queue ``fn(*args)``; its ``(ok, value or exception)`` arrives
+        on the returned queue."""
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        self._calls.put((fn, args, done))
+        return done
+
+
+_helper_thread: _Helper | None = None
+
+
+def _helper() -> _Helper:
+    """The helper every multi-panel driver of the process shares,
+    started on first use."""
+    global _helper_thread
+    if _helper_thread is None:
+        _helper_thread = _Helper()
+    return _helper_thread
+
+
+def _forget_helper() -> None:
+    """A forked child inherits the helper object but not its thread."""
+    global _helper_thread
+    _helper_thread = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 @dataclass
@@ -76,6 +149,10 @@ class DynamoCore:
         self.step_count = 0
         self._last_dt = float("nan")
         self.history: list[HistoryRecord] = []
+        self._equations = (
+            (self.equations,) if self.panels is None
+            else tuple(self.equations[p] for p in self.panels)
+        )
         self._ks = tuple(
             self._join([MHDState.zeros(s.shape) for s in self._split(state)])
             for _ in range(4)
@@ -93,11 +170,37 @@ class DynamoCore:
             return parts[0]
         return dict(zip(self.panels, parts))
 
+    def rhs(self, state, out=None):
+        """Each panel's derivative (its equations subtract the base
+        RHS), written into ``out`` (allocated when None).
+
+        With two or more panels and at least two usable cores the first
+        panel's derivative is taken on the caller's thread while the
+        helper thread takes the others'; all have finished when this
+        returns or raises.  A single-state driver (each rank of a
+        parallel run) starts no thread."""
+        eqs, states = self._equations, self._split(state)
+        outs = self._split(out) if out is not None else (None,) * len(eqs)
+        if len(eqs) == 1 or _USABLE_CORES < 2:
+            return self._join([eq.rhs(s, o) for eq, s, o in zip(eqs, states, outs)])
+        helper = _helper()
+        pending = [helper.submit(eq.rhs, s, o)
+                   for eq, s, o in zip(eqs[1:], states[1:], outs[1:])]
+        try:
+            first = eqs[0].rhs(states[0], outs[0])
+        finally:
+            outcomes = [done.get() for done in pending]
+        for ok, value in outcomes:
+            if not ok:
+                raise value
+        return self._join([first, *(value for _, value in outcomes)])
+
     # ---- stage algebra ---------------------------------------------------------
 
     def axpy(self, y, a: float, k):
         """``y + a*k`` as a new state."""
-        return self._join([s.axpy(a, q) for s, q in zip(self._split(y), self._split(k))])
+        return self._join([s.axpy(a, q, self.kernels)
+                           for s, q in zip(self._split(y), self._split(k))])
 
     def axpy_into(self, y, a: float, k, out):
         """``y + a*k`` written over the dead stage state ``out``."""
@@ -128,10 +231,13 @@ class DynamoCore:
         Every stage is ``enforce`` then ``rhs`` (a parallel driver
         completes its boundary communication before the derivative
         reads any halo — the paper's blocking schedule), and the result
-        is enforced too.  The derivatives land in the recycled ``_ks``;
-        the first stage state is the one allocation of a step, and each
-        later stage state and the result are written over the stage
-        state before them once its derivative is taken.
+        is enforced too.  ``rhs`` takes the panels' derivatives
+        concurrently where two cores allow; ``enforce`` and the stage
+        algebra run on the caller's thread.  The derivatives land in
+        the recycled ``_ks``; the first stage state is the one
+        allocation of a step, and each later stage state and the result
+        are written over the stage state before them once its
+        derivative is taken.
         """
         k1, k2, k3, k4 = self._ks
         self.enforce(y)

@@ -55,9 +55,6 @@ class LatLonDynamo(DynamoCore):
 
     # ---- the geometry the driver core steps ------------------------------------
 
-    def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
-        return self.equations.rhs(state, out=out)
-
     def enforce(self, state: MHDState) -> None:
         self.grid.fill_halos_scalar(state.rho)
         self.grid.fill_halos_scalar(state.p)

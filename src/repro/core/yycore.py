@@ -109,19 +109,6 @@ class YinYangDynamo(DynamoCore):
 
     # ---- the geometry the driver core steps ------------------------------------
 
-    def rhs(self, pair: PairState, out: PairState | None = None) -> PairState:
-        """Panel-wise RHS — identical kernels, per the Yin-Yang symmetry.
-
-        With ``subtract_base_rhs`` the discrete residual of the reference
-        conduction state is removed (inside :class:`PanelEquations`),
-        making that state an exact discrete equilibrium (well-balanced
-        scheme).  Written into ``out`` (allocated when None).
-        """
-        return {
-            p: self.equations[p].rhs(s, out=None if out is None else out[p])
-            for p, s in pair.items()
-        }
-
     def enforce(self, pair: PairState) -> None:
         """:func:`enforce_pair` on this driver's grid and walls."""
         enforce_pair(self.grid, self.wall_bc, pair)

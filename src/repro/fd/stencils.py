@@ -13,6 +13,7 @@ grid points — per the vectorisation guidance for this project.
 
 from __future__ import annotations
 
+import threading
 
 import numpy as np
 
@@ -23,30 +24,36 @@ Array = np.ndarray
 #: Running tally of stencil-kernel executions since the last reset.
 #: The perf smoke test compares these between the cached and reference
 #: RHS paths — a deterministic, CI-stable proxy for the work saved.
+#: Updated under ``_COUNTS_LOCK``: the two panels of a serial step
+#: tally from two threads, and ``+=`` on a dict entry is not atomic.
 _COUNTS: dict[str, int] = {"diff": 0, "diff2": 0}
+_COUNTS_LOCK = threading.Lock()
 
 
 def stencil_counts() -> dict[str, int]:
     """Snapshot of how many times each stencil kernel has executed."""
-    return dict(_COUNTS)
+    with _COUNTS_LOCK:
+        return dict(_COUNTS)
 
 
 def reset_stencil_counts() -> None:
     """Zero the stencil execution counters."""
-    for k in _COUNTS:
-        _COUNTS[k] = 0
+    with _COUNTS_LOCK:
+        for k in _COUNTS:
+            _COUNTS[k] = 0
 
 
 def add_stencil_counts(diff: int = 0, diff2: int = 0) -> None:
-    """Credit stencil sweeps executed outside this module to the tally.
+    """Credit stencil sweeps to the tally, exactly under threads.
 
     The compiled backend (:mod:`repro.fd.ckernels`) runs its sweeps in
     C, so it reports them here — ``stencil_counts()`` stays a
     backend-independent measure of stencil work (the perf smoke test
     and benchmarks compare the tallies across paths).
     """
-    _COUNTS["diff"] += diff
-    _COUNTS["diff2"] += diff2
+    with _COUNTS_LOCK:
+        _COUNTS["diff"] += diff
+        _COUNTS["diff2"] += diff2
 
 
 def _axslice(ndim: int, axis: int, sl: slice) -> tuple:
@@ -83,7 +90,7 @@ def diff(f: Array, h: float, axis: int,
     f = np.asarray(f)
     if f.shape[axis] < 3:
         raise ValueError(f"need >= 3 points along axis {axis}, got {f.shape[axis]}")
-    _COUNTS["diff"] += 1
+    add_stencil_counts(diff=1)
     fused = out is not None
     out = _resolve_out(f, out)
     nd = f.ndim
@@ -122,7 +129,7 @@ def diff2(f: Array, h: float, axis: int,
     f = np.asarray(f)
     if f.shape[axis] < 3:
         raise ValueError(f"need >= 3 points along axis {axis}, got {f.shape[axis]}")
-    _COUNTS["diff2"] += 1
+    add_stencil_counts(diff2=1)
     fused = out is not None
     out = _resolve_out(f, out)
     nd = f.ndim
@@ -178,7 +185,7 @@ def diff_raw(f: Array, axis: int,
     f = np.asarray(f)
     if f.shape[axis] < 3:
         raise ValueError(f"need >= 3 points along axis {axis}, got {f.shape[axis]}")
-    _COUNTS["diff"] += 1
+    add_stencil_counts(diff=1)
     fused = out is not None
     out = _resolve_out(f, out)
     nd = f.ndim
@@ -219,7 +226,7 @@ def diff2_raw(f: Array, axis: int,
     f = np.asarray(f)
     if f.shape[axis] < 3:
         raise ValueError(f"need >= 3 points along axis {axis}, got {f.shape[axis]}")
-    _COUNTS["diff2"] += 1
+    add_stencil_counts(diff2=1)
     fused = out is not None
     out = _resolve_out(f, out)
     nd = f.ndim

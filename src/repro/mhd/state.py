@@ -93,17 +93,25 @@ class MHDState:
 
     # ---- algebra for time integration ---------------------------------------------
 
-    def axpy(self, a: float, other: MHDState) -> MHDState:
-        """Return ``self + a * other`` as a new state."""
-        return MHDState(
-            *(x + a * y for x, y in zip(self.arrays(), other.arrays()))
-        )
-
     # ``kernels`` below is the compiled elementwise module a driver
     # resolved at construction (:func:`repro.fd.backend.compiled_module`)
     # or None for the NumPy expressions; a field the compiled loop
     # refuses (non-contiguous, not float64) takes the NumPy path alone.
     # Both are bitwise equal.
+
+    def axpy(self, a: float, other: MHDState, kernels=None) -> MHDState:
+        """Return ``self + a * other`` as a new state.
+
+        With compiled kernels each field is one pass into one fresh
+        array (:meth:`axpy_into`) instead of a temporary ``a * other``
+        plus the sum.
+        """
+        if kernels is None:
+            return MHDState(
+                *(x + a * y for x, y in zip(self.arrays(), other.arrays()))
+            )
+        out = MHDState(*(np.empty_like(x) for x in self.arrays()))
+        return self.axpy_into(a, other, out, kernels)
 
     @hot_path
     def axpy_into(self, a: float, other: MHDState, out: MHDState,

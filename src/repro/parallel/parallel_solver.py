@@ -122,11 +122,6 @@ class ParallelYinYangDynamo(DynamoCore):
 
     # ---- the geometry the driver core steps --------------------------------------
 
-    def rhs(self, state: MHDState, out: MHDState | None = None) -> MHDState:
-        """The tile's derivative (base RHS subtracted by the equations),
-        written into ``out`` (allocated when None)."""
-        return self.equations.rhs(state, out=out)
-
     def enforce(self, state: MHDState) -> None:
         """Overset exchange, halo exchange, wall conditions — in that
         order, so ring updates reach neighbouring halos before the local

@@ -296,10 +296,7 @@ class ProcMPI:
         try:
             for p in procs:
                 p.start()
-            # spawn re-imports the interpreter per rank; allow generous
-            # startup slack on top of the run-time guard
-            results, error = collect(records, nprocs, 2 * timeout + 60.0 * nprocs,
-                                     "process", procs, unpack_outcome)
+            results, error = collect(records, nprocs, procs, unpack_outcome)
         finally:
             reap(procs, error is not None, timeout)
             for q in [*inboxes, free_q, records]:

@@ -432,8 +432,7 @@ class SockMPI:
             ]
             for t in threads:
                 t.start()
-            results, error = collect(router.records, nprocs, 2 * timeout + 60.0,
-                                     "socket", unpack=unpack_outcome)
+            results, error = collect(router.records, nprocs, unpack=unpack_outcome)
         except BaseException as exc:  # noqa: BLE001 - re-raised after teardown
             error = exc
         finally:

@@ -166,7 +166,7 @@ class SimMPI:
         try:
             for t in threads:
                 t.start()
-            results, error = collect(records, nprocs, 2 * timeout, "thread")
+            results, error = collect(records, nprocs)
         except BaseException as exc:  # noqa: BLE001 - re-raised after teardown
             error = exc
         finally:

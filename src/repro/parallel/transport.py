@@ -19,8 +19,8 @@ here:
 * The launcher skeleton — :data:`SPAWN` (the one ``multiprocessing``
   context), :func:`serve_rank` on the rank side, and on the launcher
   side :func:`collect` (one loop over one record queue for results,
-  STUCK notices and aborts, with the dead-worker check, the run guard
-  and the merged :class:`~repro.parallel.simmpi.DeadlockError`) and
+  STUCK notices and aborts, with the dead-worker check and the merged
+  :class:`~repro.parallel.simmpi.DeadlockError`) and
   :func:`reap`.  Launchers whose ranks live in other processes pickle a
   rank's outcome with :func:`pack_outcome` and hand
   :func:`unpack_outcome` to :func:`collect`.
@@ -388,7 +388,7 @@ def _world_deadlock(first_line: str, stuck: dict[int, dict | None],
     )
 
 
-def collect(records, nprocs: int, guard: float, what: str,
+def collect(records, nprocs: int,
             procs: Sequence[Any] = (),
             unpack: Callable[[str, int, Any], Any] | None = None,
             ) -> tuple[list[Any], BaseException | None]:
@@ -398,14 +398,17 @@ def collect(records, nprocs: int, guard: float, what: str,
     turns an ``ok``/``err`` body into the value or exception (none when
     the bodies are the rank's own objects).  ``procs`` are the rank
     processes indexed by rank, when the launcher knows them: one that
-    exits non-zero without reporting fails the world at once.  Past
-    ``guard`` seconds the world is a deadlock described by whatever
-    STUCK notices arrived.
+    exits non-zero without reporting fails the world at once.
+
+    There is no deadline on the world as a whole: a rank may compute
+    for as long as it likes.  Every blocking operation of a rank has
+    its own timeout, after which the rank posts a STUCK notice and
+    fails; that failure ends the wait, with every rank's notice merged
+    into the world wait-for graph.
     """
     results: list[Any] = [None] * nprocs
     stuck: dict[int, dict | None] = {}
     finished: set[int] = set()
-    deadline = _time.monotonic() + guard  # repro: noqa-REP015
     while len(finished) < nprocs:
         try:
             kind, rank, body = records.get(timeout=0.2)
@@ -417,12 +420,6 @@ def collect(records, nprocs: int, guard: float, what: str,
                     f"rank {r} exited with code {code} before reporting a result"
                     for r, code in dead
                 ))
-            if _time.monotonic() > deadline:  # repro: noqa-REP015
-                return results, _world_deadlock(
-                    f"{what} world of {nprocs} did not report within "
-                    f"{guard:.0f}s run guard",
-                    {r: stuck.get(r) for r in range(nprocs)}, nprocs,
-                )
             continue
         if kind == "stuck":
             stuck[rank] = body

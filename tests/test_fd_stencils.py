@@ -1,9 +1,20 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fd.stencils import AXIS_PH, AXIS_R, AXIS_TH, diff, diff2
+from repro.fd.stencils import (
+    AXIS_PH,
+    AXIS_R,
+    AXIS_TH,
+    add_stencil_counts,
+    diff,
+    diff2,
+    reset_stencil_counts,
+    stencil_counts,
+)
 
 
 class TestDiffExactness:
@@ -91,3 +102,23 @@ class TestLinearity:
         d = diff(f, 0.3, AXIS_R)
         d_rev = diff(f[::-1], 0.3, AXIS_R)[::-1]
         np.testing.assert_allclose(d, -d_rev, atol=1e-12)
+
+
+class TestTally:
+    def test_exact_under_two_threads(self):
+        """The two panels of a serial step tally from two threads."""
+        reset_stencil_counts()
+        start = threading.Barrier(2)
+
+        def credit():
+            start.wait()
+            for _ in range(100_000):
+                add_stencil_counts(1, 1)
+
+        threads = [threading.Thread(target=credit) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert stencil_counts() == {"diff": 200_000, "diff2": 200_000}
+        reset_stencil_counts()

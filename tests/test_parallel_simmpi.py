@@ -12,6 +12,7 @@ from repro.parallel.backends import get_backend
 from repro.parallel.simmpi import (
     ANY_SOURCE,
     ANY_TAG,
+    DeadlockError,
     DeadlockTimeout,
     SimMPIError,
 )
@@ -329,6 +330,30 @@ class TestTimeoutEnv:
         assert _timeout_from_env(default=33.0) == 33.0
         monkeypatch.setenv("REPRO_SIMMPI_TIMEOUT", "-5")
         assert _timeout_from_env(default=33.0) == 33.0
+
+
+class TestRunGuard:
+    """The timeout bounds each blocking operation, not the world's run."""
+
+    def test_world_computing_past_the_timeout_is_healthy(self):
+        # 3 s of compute, no blocking op: neither the per-op timeout
+        # nor any whole-world deadline of 2 * timeout may fire
+        def prog(comm):
+            time.sleep(3.0)
+            return comm.rank
+
+        assert SimMPI.run(2, prog, timeout=1.0) == [0, 1]
+
+    def test_wait_for_cycle_named_within_timeout_plus_grace(self):
+        def prog(comm):
+            comm.Recv(source=1 - comm.rank, tag=42)
+
+        t0 = time.monotonic()
+        with pytest.raises(DeadlockError) as ei:
+            SimMPI.run(2, prog, timeout=0.5)
+        # per-op timeout 0.5 s + the 1.5 s STUCK-merge grace + slack
+        assert time.monotonic() - t0 < 4.0
+        assert ei.value.cycle in ([0, 1, 0], [1, 0, 1])
 
 
 # ---- every backend: one rank program each (module level: spawn pickles it) ----
