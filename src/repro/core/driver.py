@@ -25,12 +25,11 @@ stage sequence, ``step`` with the filter cadence, ``advance``, ``run``
 and ``record``, and the guard and checkpoint hooks all drivers share.
 
 The paper's first level of parallelism is the Yin/Yang split: no sweep
-crosses panels, and each panel owns its equations' buffers.  On a host
-with two usable cores ``rhs`` therefore runs Yin's derivative on the
-caller's thread while a helper thread runs Yang's; the coupling
-``enforce`` and the streamed stage algebra stay on the caller's
-thread.  Every bit is the same as running the panels one after the
-other.
+crosses panels, and each panel owns its equations' buffers.  ``rhs``
+therefore runs Yin's derivative on the caller's thread while a helper
+thread runs Yang's; the coupling ``enforce`` and the streamed stage
+algebra stay on the caller's thread.  Every bit is the same as running
+the panels one after the other.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ from repro.fd import backend as kernel_backend
 from repro.mhd.cfl import dt_from_maxima, panel_maxima
 from repro.mhd.diagnostics import EnergyReport
 from repro.mhd.state import MHDState
-
-
-#: Cores this process may run on; with fewer than two, ``rhs`` takes
-#: every panel's derivative on the caller's thread.
-try:
-    _USABLE_CORES = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity API on this platform
-    _USABLE_CORES = os.cpu_count() or 1
 
 
 class _Helper:
@@ -174,14 +165,13 @@ class DynamoCore:
         """Each panel's derivative (its equations subtract the base
         RHS), written into ``out`` (allocated when None).
 
-        With two or more panels and at least two usable cores the first
-        panel's derivative is taken on the caller's thread while the
-        helper thread takes the others'; all have finished when this
-        returns or raises.  A single-state driver (each rank of a
-        parallel run) starts no thread."""
+        With two panels the first panel's derivative is taken on the
+        caller's thread while the helper thread takes the other's; both
+        have finished when this returns or raises.  A single-state
+        driver (each rank of a parallel run) starts no thread."""
         eqs, states = self._equations, self._split(state)
         outs = self._split(out) if out is not None else (None,) * len(eqs)
-        if len(eqs) == 1 or _USABLE_CORES < 2:
+        if len(eqs) == 1:
             return self._join([eq.rhs(s, o) for eq, s, o in zip(eqs, states, outs)])
         helper = _helper()
         pending = [helper.submit(eq.rhs, s, o)
@@ -232,12 +222,11 @@ class DynamoCore:
         completes its boundary communication before the derivative
         reads any halo — the paper's blocking schedule), and the result
         is enforced too.  ``rhs`` takes the panels' derivatives
-        concurrently where two cores allow; ``enforce`` and the stage
-        algebra run on the caller's thread.  The derivatives land in
-        the recycled ``_ks``; the first stage state is the one
-        allocation of a step, and each later stage state and the result
-        are written over the stage state before them once its
-        derivative is taken.
+        concurrently; ``enforce`` and the stage algebra run on the
+        caller's thread.  The derivatives land in the recycled ``_ks``;
+        the first stage state is the one allocation of a step, and each
+        later stage state and the result are written over the stage
+        state before them once its derivative is taken.
         """
         k1, k2, k3, k4 = self._ks
         self.enforce(y)

@@ -285,9 +285,8 @@ class _Router:
     control traffic.  Any mid-run connection failure aborts the world —
     every surviving worker gets an ABORT frame naming the reason."""
 
-    def __init__(self, nprocs: int, timeout: float):
+    def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        self.timeout = timeout
         self.socks: list[_socket.socket | None] = [None] * nprocs
         self.wlocks = [threading.Lock() for _ in range(nprocs)]
         self.finished = [False] * nprocs
@@ -300,7 +299,9 @@ class _Router:
     def serve(self, rank: int) -> None:
         sock = self.socks[rank]
         read = _recv_exactly_fn(sock, f"coordinator<-rank {rank}")
-        sock.settimeout(2 * self.timeout + 60.0)
+        # no read deadline: a rank may compute for as long as it likes;
+        # EOF or a socket error is what marks a dead worker
+        sock.settimeout(None)
         try:
             while True:
                 frame = read_frame(read)
@@ -393,7 +394,7 @@ class SockMPI:
         listener.listen(nprocs)
         bound = listener.getsockname()
         addr = f"{bound[0]}:{bound[1]}"
-        router = _Router(nprocs, timeout)
+        router = _Router(nprocs)
         procs: list[Any] = []
         threads: list[threading.Thread] = []
         error: BaseException | None = None

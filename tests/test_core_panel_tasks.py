@@ -1,15 +1,13 @@
 """Yin and Yang on two cores (:mod:`repro.core.driver`).
 
-With two usable cores a serial Yin-Yang step takes each panel's RHS on
-its own thread: Yin's on the caller's, Yang's on the helper's.  The
-panels share nothing a sweep writes, so the fields must be bitwise
-those of the one-thread step; single-state drivers (lat-lon, and every
-rank of a parallel run) must never start the helper.
-``_USABLE_CORES`` is forced here; the module reads it from the
-process's CPU affinity.
+A serial Yin-Yang step takes each panel's RHS on its own thread: Yin's
+on the caller's, Yang's on the helper's.  The panels share nothing a
+sweep writes, so the fields must be bitwise those of the one-thread
+step; single-state drivers (lat-lon, and every rank of a parallel run)
+must never start the helper.
 """
 
-import os
+import queue
 import threading
 import time
 
@@ -37,41 +35,40 @@ def config(params, nr=7, nth=12, nph=36):
                      amp_temperature=1e-2, dt=1e-3, seed=3)
 
 
-@pytest.fixture
-def cores(monkeypatch):
-    """Set the usable core count the panel tasks see."""
-    def set_cores(n: int) -> None:
-        monkeypatch.setattr(core_driver, "_USABLE_CORES", n)
-    return set_cores
+class _InlineHelper:
+    """Stands in for the helper thread: runs each call at once, on the
+    caller's thread, so the panels go one after the other."""
 
-
-def test_core_count_follows_affinity():
-    if hasattr(os, "sched_getaffinity"):
-        assert core_driver._USABLE_CORES == len(os.sched_getaffinity(0))
+    def submit(self, fn, *args):
+        done = queue.SimpleQueue()
+        core_driver._Helper._run(fn, args, done)
+        return done
 
 
 @pytest.mark.parametrize("backend", ["c", "fused", "numpy"])
-def test_two_workers_give_the_one_worker_bits(backend, params, cores, monkeypatch):
+def test_two_workers_give_the_one_worker_bits(backend, params, monkeypatch):
     if kernel_backend.select(backend) != backend:
         pytest.skip(f"{backend} kernels unavailable here")
     monkeypatch.setenv(kernel_backend.KERNELS_ENV, backend)
-    runs = {}
-    for n in (1, 2):
-        cores(n)
+
+    def three_steps():
         dyn = YinYangDynamo(config(params))
         dyn.run(3, record_every=0)
-        runs[n] = dyn.state
-    assert fingerprint_state(runs[1]).root == fingerprint_state(runs[2]).root
-    for p in runs[1]:
-        for a, b in zip(runs[1][p].arrays(), runs[2][p].arrays()):
+        return dyn.state
+
+    threaded = three_steps()
+    monkeypatch.setattr(core_driver, "_helper", _InlineHelper)
+    inline = three_steps()
+    assert fingerprint_state(inline).root == fingerprint_state(threaded).root
+    for p in inline:
+        for a, b in zip(inline[p].arrays(), threaded[p].arrays()):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("failing", [0, 1])
-def test_a_failing_panel_rhs_surfaces_after_the_other_finished(failing, params, cores):
+def test_a_failing_panel_rhs_surfaces_after_the_other_finished(failing, params):
     """One panel's RHS raises while the other is still running: the
     error comes out of ``step()`` only once the other has ended."""
-    cores(2)
     dyn = YinYangDynamo(config(params))
     bad, slow = dyn._equations[failing], dyn._equations[1 - failing]
     finished = threading.Event()
@@ -103,8 +100,7 @@ def no_helper(monkeypatch):
     monkeypatch.setattr(core_driver, "_helper_thread", None)
 
 
-def test_serial_yinyang_starts_the_helper(params, cores, no_helper):
-    cores(2)
+def test_serial_yinyang_starts_the_helper(params, no_helper):
     dyn = YinYangDynamo(config(params))
     before = _helper_threads()
     dyn.step()
@@ -112,8 +108,7 @@ def test_serial_yinyang_starts_the_helper(params, cores, no_helper):
     assert _helper_threads() == before + 1
 
 
-def test_latlon_starts_no_thread(params, cores, no_helper):
-    cores(2)
+def test_latlon_starts_no_thread(params, no_helper):
     dyn = LatLonDynamo(RunConfig(nr=6, nth=12, nph=24, params=params, dt=1e-4))
     before = threading.active_count()
     dyn.step()
@@ -130,18 +125,16 @@ def _rank_step_threads(comm, cfg):
     return before, threading.active_count()
 
 
-def test_thread_ranks_start_no_thread(params, cores, no_helper):
-    cores(2)
+def test_thread_ranks_start_no_thread(params, no_helper):
     counts = SimMPI.run(2, _rank_step_threads, config(params), timeout=120.0)
     for before, after in counts:
         assert after == before
     assert core_driver._helper_thread is None
 
 
-def test_threaded_step_tallies_every_sweep(params, cores):
+def test_threaded_step_tallies_every_sweep(params):
     """The `serial-small` grid: 8 panel RHS x 47 sweeps = 376 per step,
     whichever thread a panel's sweeps ran on."""
-    cores(2)
     dyn = YinYangDynamo(config(params, nr=8, nth=16, nph=48))
     dyn.step()
     reset_stencil_counts()

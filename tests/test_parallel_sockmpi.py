@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -235,7 +236,17 @@ def _threaded_world(nprocs, fn, *, before_workers=None, timeout=60.0):
     return out["results"]
 
 
+def _computing_prog(comm):
+    time.sleep(3.0)  # no blocking operation at all
+    return comm.rank
+
+
 class TestLoopbackWorld:
+    def test_world_computing_past_the_timeout_is_healthy(self):
+        # the coordinator reads each worker without a deadline: 3 s of
+        # compute under a 1 s timeout is not a dead connection
+        assert _threaded_world(2, _computing_prog, timeout=1.0) == [0, 1]
+
     def test_p2p_and_reduction(self):
         results = _threaded_world(2, _pair_prog)
         assert results == [
